@@ -20,7 +20,7 @@ from .balancesheet import BalanceSheetModel, sample_scenarios, loss_probability
 from .errors import DenominatorNotPositive
 from .measures import LEVEL_EPS, avar_empirical, revar, var_empirical
 from .recovery import RecoveryFunction
-from .samples import WeightedSample
+from .samples import WeightedSample, write_text
 
 
 @dataclass(frozen=True)
@@ -237,9 +237,4 @@ def write_sweep_csv(rows: list[SweepRow], path_or_buffer) -> None:
             repr(row.solvency_ratio), repr(row.agg_rec_adj_integral),
             repr(row.agg_rec_adj_mean),
         ]) + "\n")
-    payload = buf.getvalue()
-    if hasattr(path_or_buffer, "write"):
-        path_or_buffer.write(payload)
-    else:
-        with open(path_or_buffer, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+    write_text(buf.getvalue(), path_or_buffer)

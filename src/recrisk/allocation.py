@@ -17,7 +17,7 @@ import numpy as np
 from .errors import AmbiguousBindingIndex, DenominatorNotPositive
 from .measures import reavar, reavar_pieces, tail_index
 from .recovery import RecoveryFunction
-from .samples import WeightedSample
+from .samples import WeightedSample, _frozen, checked_weights, read_table, write_text
 
 __all__ = [
     "DivisionalSample", "AllocationResult", "euler_allocation",
@@ -45,18 +45,9 @@ class DivisionalSample:
             raise ValueError("division values must be finite")
         if np.any(liab < 0.0):
             raise ValueError("division liabilities must be nonnegative")
-        if self.weights is None:
-            w = np.full(de.shape[0], 1.0 / de.shape[0])
-        else:
-            w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-            if w.size != de.shape[0]:
-                raise ValueError("weights length must match the scenario count")
-            if np.any(w <= 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
-                raise ValueError("weights must be positive and sum to 1")
+        w = checked_weights(self.weights, de.shape[0])
         for name, arr in (("de", de), ("liabilities", liab), ("weights", w)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def n_scenarios(self) -> int:
@@ -222,37 +213,20 @@ def read_divisional_csv(path_or_buffer) -> DivisionalSample:
     Plain scenario files (``weight,x,y`` or simulator output
     ``weight,deltaE,L,A``) are accepted as a single division.
     """
-    if hasattr(path_or_buffer, "read"):
-        text = path_or_buffer.read()
-    else:
-        with open(path_or_buffer, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    rows = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in rows if ln and not ln.startswith("#")]
-    if not rows:
-        raise ValueError("divisional CSV is empty")
-    cols = [c.strip() for c in rows[0].split(",")]
-    has_weight = cols and cols[0] == "weight"
-    body = cols[1:] if has_weight else cols
-    de_cols = sorted((j for j, c in enumerate(body) if c.startswith("dE_")),
-                     key=lambda j: int(body[j][3:]))
-    l_cols = sorted((j for j, c in enumerate(body) if c.startswith("L_")),
-                    key=lambda j: int(body[j][2:]))
+    cols, data = read_table(path_or_buffer, "divisional CSV")
+    de_cols = sorted((j for j, c in enumerate(cols) if c.startswith("dE_")),
+                     key=lambda j: int(cols[j][3:]))
+    l_cols = sorted((j for j, c in enumerate(cols) if c.startswith("L_")),
+                    key=lambda j: int(cols[j][2:]))
     if not de_cols:
-        single_de = next((j for j, c in enumerate(body) if c in ("x", "deltaE", "dE")), None)
-        single_l = next((j for j, c in enumerate(body) if c in ("y", "L")), None)
+        single_de = next((j for j, c in enumerate(cols) if c in ("x", "deltaE", "dE")), None)
+        single_l = next((j for j, c in enumerate(cols) if c in ("y", "L")), None)
         if single_de is not None and single_l is not None:
             de_cols, l_cols = [single_de], [single_l]
     if not de_cols or len(de_cols) != len(l_cols):
         raise ValueError("divisional CSV needs matching dE_1..dE_N and L_1..L_N columns")
-    data = np.asarray([[float(p) for p in ln.split(",")] for ln in rows[1:]], dtype=float)
-    if data.size == 0:
-        raise ValueError("divisional CSV has no rows")
-    offset = 1 if has_weight else 0
-    weights = data[:, 0] if has_weight else None
-    de = data[:, [offset + j for j in de_cols]]
-    liab = data[:, [offset + j for j in l_cols]]
-    return DivisionalSample(de, liab, weights)
+    weights = data[:, 0] if cols[0] == "weight" else None
+    return DivisionalSample(data[:, de_cols], data[:, l_cols], weights)
 
 
 def write_divisional_csv(sample: DivisionalSample, path_or_buffer) -> None:
@@ -263,9 +237,4 @@ def write_divisional_csv(sample: DivisionalSample, path_or_buffer) -> None:
     for m in range(sample.n_scenarios):
         vals = [sample.weights[m], *sample.de[m], *sample.liabilities[m]]
         buf.write(",".join(repr(float(v)) for v in vals) + "\n")
-    payload = buf.getvalue()
-    if hasattr(path_or_buffer, "write"):
-        path_or_buffer.write(payload)
-    else:
-        with open(path_or_buffer, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+    write_text(buf.getvalue(), path_or_buffer)

@@ -18,7 +18,7 @@ import numpy as np
 from . import adjustments, allocation, balancesheet, calibration, frontier, measures, stress
 from .errors import NumericalError
 from .recovery import RecoveryFunction, load_recovery_function, save_recovery_function
-from .samples import read_scenario_csv
+from .samples import read_scenario_csv, write_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -52,19 +52,13 @@ def parse_grid(token: str) -> np.ndarray:
     return np.asarray([float(t) for t in token.split(",")])
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+def _out(path: str):
+    """The ``--out`` target: stdout for '-', otherwise the path."""
+    return sys.stdout if path == "-" else path
 
 
-def _emit(payload: str, path: str) -> None:
-    handle, needs_close = _open_out(path)
-    try:
-        handle.write(payload)
-    finally:
-        if needs_close:
-            handle.close()
+def _emit_json(payload: dict, path: str) -> None:
+    write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", _out(path))
 
 
 def _load_model(path: str | None) -> balancesheet.BalanceSheetModel:
@@ -84,12 +78,7 @@ def _cmd_simulate(args) -> int:
     if overrides:
         model = model.with_params(**overrides)
     sim = balancesheet.sample_scenarios(model, args.M, args.seed)
-    handle, needs_close = _open_out(args.out)
-    try:
-        sim.write_csv(handle)
-    finally:
-        if needs_close:
-            handle.close()
+    sim.write_csv(_out(args.out))
     return EXIT_OK
 
 
@@ -127,7 +116,7 @@ def _cmd_measure(args) -> int:
             out["value"] = fn(lsample, gamma, args.n_lambda)
         else:
             raise ValueError(f"unknown measure {name!r}")
-    _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
+    _emit_json(out, args.out)
     return EXIT_OK
 
 
@@ -150,7 +139,7 @@ def _cmd_recadj(args) -> int:
                 "agg_rec_adj_integral": integral,
                 "agg_rec_adj_mean": mean,
             }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit_json(payload, args.out)
         return EXIT_OK
     if args.action != "sweep":
         raise ValueError("recadj supports the 'sweep' and 'eval' actions")
@@ -161,12 +150,7 @@ def _cmd_recadj(args) -> int:
     rows = adjustments.case_study_sweep(model, parse_grid(args.rho), parse_grid(args.tau),
                                         regimes, args.M, args.seed, config,
                                         workers=_thread_count())
-    handle, needs_close = _open_out(args.out)
-    try:
-        adjustments.write_sweep_csv(rows, handle)
-    finally:
-        if needs_close:
-            handle.close()
+    adjustments.write_sweep_csv(rows, _out(args.out))
     return EXIT_OK
 
 
@@ -188,7 +172,7 @@ def _cmd_stress(args) -> int:
         for regime_name, req in (("var", var_req), ("avar", avar_req)):
             payload[f"rec_adj_{regime_name}"] = (max(payload["revar"] / req, 1.0)
                                                  if req > 0 else None)
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit_json(payload, args.out)
         return EXIT_OK
     if args.action == "extremal":
         config = stress.ExtremalSearchConfig(
@@ -197,17 +181,17 @@ def _cmd_stress(args) -> int:
         )
         witness = stress.extremal_construction(config, args.E0, anchor_a=args.anchor_a)
         payload = {
-            "model": json.loads(json.dumps({
+            "model": {
                 "a": witness.model.a, "b": witness.model.b, "c": witness.model.c,
                 "asset_value": witness.model.asset_value,
                 "initial_capital": witness.model.initial_capital,
                 "tail_mass": witness.model.tail_mass,
-            })),
+            },
             "achieved_adjustment": witness.achieved_adjustment,
             "constraints": {c.name: c.satisfied for c in witness.constraints},
             "loss_probability": witness.loss_probability,
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit_json(payload, args.out)
         return EXIT_OK
     raise ValueError("stress supports the 'peaked' and 'extremal' actions")
 
@@ -242,7 +226,7 @@ def _cmd_allocate(args) -> int:
         "division_rorac": list(result.division_rorac),
         "aggregate_rorac": result.aggregate_rorac,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 
@@ -254,12 +238,7 @@ def _cmd_frontier(args) -> int:
                                         budget=float(config.get("budget", 1.0)))
     c_grid = np.asarray(config["c_grid"], dtype=float)
     result = frontier.efficient_frontier(problem, c_grid)
-    handle, needs_close = _open_out(args.out)
-    try:
-        frontier.write_frontier_csv(result, problem.n_assets, handle)
-    finally:
-        if needs_close:
-            handle.close()
+    frontier.write_frontier_csv(result, problem.n_assets, _out(args.out))
     if not result.convex_in_c:
         print("warning: frontier risk not convex in the target return", file=sys.stderr)
     return EXIT_OK

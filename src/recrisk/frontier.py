@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NumericalError, TargetReturnInfeasible
 from .measures import LEVEL_EPS, avar_empirical
 from .recovery import RecoveryFunction
-from .samples import WeightedSample
+from .samples import WeightedSample, _frozen, checked_weights, read_table, write_text
 from .simplex import LinearProgram, LPSolution, solve_lp
 
 __all__ = [
@@ -64,18 +64,9 @@ class PortfolioProblem:
             raise ValueError("scenario data must be finite")
         if self.budget <= 0.0:
             raise ValueError("budget must be positive")
-        if self.weights is None:
-            w = np.full(r.shape[0], 1.0 / r.shape[0])
-        else:
-            w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-            if w.size != r.shape[0]:
-                raise ValueError("weights length must match the scenario count")
-            if np.any(w <= 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
-                raise ValueError("weights must be positive and sum to 1")
+        w = checked_weights(self.weights, r.shape[0])
         for name, arr in (("returns", r), ("liability_fraction", z), ("weights", w)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def n_assets(self) -> int:
@@ -127,10 +118,9 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, flo
     """Golden-section minimum of a convex scalar function on [lo, hi];
     returns (argmin, best value seen, including the endpoint evaluations)."""
     best_x, best_f = lo, f(lo)
-    for x0 in (hi,):
-        f0 = f(x0)
-        if f0 < best_f:
-            best_x, best_f = x0, f0
+    f_hi = f(hi)
+    if f_hi < best_f:
+        best_x, best_f = hi, f_hi
     a, b = lo, hi
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
@@ -337,29 +327,14 @@ def efficient_frontier(problem: PortfolioProblem, c_grid) -> FrontierResult:
 def read_problem_csv(path_or_buffer, gamma: RecoveryFunction,
                      budget: float = 1.0) -> PortfolioProblem:
     """Problem CSV: header ``weight,R_1..R_K,Z`` (weight optional)."""
-    if hasattr(path_or_buffer, "read"):
-        text = path_or_buffer.read()
-    else:
-        with open(path_or_buffer, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    rows = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in rows if ln and not ln.startswith("#")]
-    if not rows:
-        raise ValueError("problem CSV is empty")
-    cols = [c.strip() for c in rows[0].split(",")]
-    has_weight = cols and cols[0] == "weight"
-    body = cols[1:] if has_weight else cols
-    r_cols = sorted((j for j, c in enumerate(body) if c.startswith("R_")),
-                    key=lambda j: int(body[j][2:]))
-    if not r_cols or "Z" not in body:
+    cols, data = read_table(path_or_buffer, "problem CSV")
+    r_cols = sorted((j for j, c in enumerate(cols) if c.startswith("R_")),
+                    key=lambda j: int(cols[j][2:]))
+    if not r_cols or "Z" not in cols:
         raise ValueError("problem CSV needs R_1..R_K and Z columns")
-    z_col = body.index("Z")
-    data = np.asarray([[float(p) for p in ln.split(",")] for ln in rows[1:]], dtype=float)
-    offset = 1 if has_weight else 0
-    weights = data[:, 0] if has_weight else None
-    returns = data[:, [offset + j for j in r_cols]]
-    z = data[:, offset + z_col]
-    return PortfolioProblem(returns, z, gamma, budget=budget, weights=weights)
+    weights = data[:, 0] if cols[0] == "weight" else None
+    return PortfolioProblem(data[:, r_cols], data[:, cols.index("Z")], gamma,
+                            budget=budget, weights=weights)
 
 
 def write_frontier_csv(result: FrontierResult, n_assets: int, path_or_buffer) -> None:
@@ -371,9 +346,4 @@ def write_frontier_csv(result: FrontierResult, n_assets: int, path_or_buffer) ->
         xs = list(p.x) if p.x else [math.nan] * n_assets
         buf.write(",".join([repr(p.c), repr(p.risk), repr(p.upsilon)]
                            + [repr(float(v)) for v in xs] + [p.status]) + "\n")
-    payload = buf.getvalue()
-    if hasattr(path_or_buffer, "write"):
-        path_or_buffer.write(payload)
-    else:
-        with open(path_or_buffer, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+    write_text(buf.getvalue(), path_or_buffer)

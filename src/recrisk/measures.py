@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .recovery import RecoveryFunction
-from .samples import WeightedSample
+from .samples import WeightedSample, checked_weights
 
 MONEY_TOL = 1e-9
 
@@ -53,17 +53,7 @@ def _prepare(values, weights) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("empty sample")
     if not np.all(np.isfinite(v)):
         raise ValueError("sample values must be finite")
-    if weights is None:
-        w = np.full(v.size, 1.0 / v.size)
-    else:
-        w = np.atleast_1d(np.asarray(weights, dtype=float))
-        if w.size != v.size:
-            raise ValueError("weights length must match values")
-        if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be strictly positive and finite")
-        if abs(float(np.sum(w)) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 within 1e-12")
-    return v, w
+    return v, checked_weights(weights, v.size)
 
 
 def _check_level(alpha: float) -> float:
@@ -140,39 +130,45 @@ def reavar(sample: WeightedSample, gamma: RecoveryFunction) -> float:
     return reavar_pieces(sample, gamma).value
 
 
-def _grid_points(gamma, n_grid: int, breakpoints: Sequence[float],
-                 exclude_zero: bool) -> list[tuple[float, float]]:
-    """(lam, level) evaluation pairs: a uniform grid augmented with supplied
-    breakpoints, where both one-sided level limits are sampled.  The grid sup
-    is a lower bound of the true supremum; including breakpoint left limits
-    makes it exact for piecewise-constant level functions."""
+def _grid_sup(sample: WeightedSample, gamma, n_grid: int, breakpoints: Sequence[float],
+              estimator: Callable[..., float], liability_side: bool) -> float:
+    """Grid supremum over recovery fractions lam of rho_{gamma(lam)} applied
+    to x + (1 - lam) y (asset side) or of (1/lam) rho_{gamma(lam)}(x - lam y)
+    (liability side, x = assets, lam in (0, 1]).
+
+    The points are a uniform grid augmented at breakpoints.  The asset side
+    samples both one-sided levels at gamma's own and the supplied breakpoints;
+    the liability side samples the left-limit level at gamma's breakpoints and
+    the last level at lam = 1.  The grid sup bounds the supremum from below;
+    the breakpoint terms make it exact for piecewise-constant level functions.
+    """
+    if liability_side:
+        sample.require_nonnegative_y("the liability-side recovery measure")
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
-    bps = tuple(breakpoints)
-    if isinstance(gamma, RecoveryFunction):
-        bps = tuple(gamma.breakpoints) + bps
-    lams = np.linspace(0.0, 1.0, n_grid)
-    if exclude_zero:
-        lams = lams[lams > 0.0]
-    if isinstance(gamma, RecoveryFunction):
+    is_piecewise = isinstance(gamma, RecoveryFunction)
+    lams = np.linspace(0.0, 1.0, n_grid)[1 if liability_side else 0:]
+    if is_piecewise:
         levels = np.atleast_1d(gamma(lams))
     else:
         levels = np.asarray([float(gamma(l)) for l in lams])
-        if np.any(levels <= 0.0) or np.any(levels >= 1.0):
-            raise ValueError("level function must map into (0, 1)")
         if np.any(np.diff(levels) < -1e-15):
             raise ValueError("level function samples are not non-decreasing")
+        if not np.all((levels > 0.0) & (levels < 1.0)):
+            raise ValueError("level function must map into (0, 1)")
     points = list(zip(lams.tolist(), levels.tolist()))
-    for r in bps:
-        r = float(r)
-        if not (0.0 < r < 1.0):
-            continue
-        points.append((r, float(gamma(r))))
-        if isinstance(gamma, RecoveryFunction):
-            points.append((r, gamma.left_limit(r)))
-        else:
-            points.append((r, float(gamma(math.nextafter(r, 0.0)))))
-    return points
+    x, y, w = sample.x, sample.y, sample.weights
+    if liability_side:
+        if is_piecewise:
+            points.extend((r, gamma.left_limit(r)) for r in gamma.breakpoints)
+            points.append((1.0, gamma.levels[-1]))
+        return max(estimator(x - lam * y, w, level) / lam for lam, level in points)
+    bps = (tuple(gamma.breakpoints) if is_piecewise else ()) + tuple(breakpoints)
+    for r in map(float, bps):
+        if 0.0 < r < 1.0:
+            left = gamma.left_limit(r) if is_piecewise else float(gamma(math.nextafter(r, 0.0)))
+            points.extend([(r, float(gamma(r))), (r, left)])
+    return max(estimator(x + (1.0 - lam) * y, w, level) for lam, level in points)
 
 
 def revar_grid(sample: WeightedSample, gamma, n_grid: int = 1001,
@@ -184,66 +180,25 @@ def revar_grid(sample: WeightedSample, gamma, n_grid: int = 1001,
     the grid automatically, making the result exact) or any non-decreasing
     callable on [0, 1] with values in (0, 1).
     """
-    points = _grid_points(gamma, n_grid, breakpoints, exclude_zero=False)
-    best = -math.inf
-    for lam, level in points:
-        best = max(best, var_empirical(sample.x + (1.0 - lam) * sample.y,
-                                       sample.weights, level))
-    return best
+    return _grid_sup(sample, gamma, n_grid, breakpoints, var_empirical, liability_side=False)
 
 
 def reavar_grid(sample: WeightedSample, gamma, n_grid: int = 1001,
                 breakpoints: Sequence[float] = ()) -> float:
     """AVaR counterpart of :func:`revar_grid`."""
-    points = _grid_points(gamma, n_grid, breakpoints, exclude_zero=False)
-    best = -math.inf
-    for lam, level in points:
-        best = max(best, avar_empirical(sample.x + (1.0 - lam) * sample.y,
-                                        sample.weights, level))
-    return best
-
-
-def _liability_side(sample: WeightedSample, gamma, n_grid: int,
-                    estimator: Callable[..., float]) -> float:
-    """sup over (0, 1] of (1/lam) * rho_{gamma(lam)}(a - lam * l) for a sample
-    with x = assets, y = liabilities.
-
-    The grid bounds the supremum from below; when ``gamma`` is piecewise
-    constant the breakpoint terms (evaluated at the left-limit level) force
-    exact sign agreement with the asset-side solvency test.
-    """
-    sample.require_nonnegative_y("the liability-side recovery measure")
-    if n_grid < 2:
-        raise ValueError("n_grid must be at least 2")
-    a, l, w = sample.x, sample.y, sample.weights
-    lams = np.linspace(0.0, 1.0, n_grid)[1:]
-    points: list[tuple[float, float]] = []
-    if isinstance(gamma, RecoveryFunction):
-        points.extend(zip(lams.tolist(), np.atleast_1d(gamma(lams)).tolist()))
-        for r in gamma.breakpoints:
-            points.append((r, gamma.left_limit(r)))
-        points.append((1.0, gamma.levels[-1]))
-    else:
-        levels = np.asarray([float(gamma(l_)) for l_ in lams])
-        if np.any(np.diff(levels) < -1e-15):
-            raise ValueError("level function samples are not non-decreasing")
-        points.extend(zip(lams.tolist(), levels.tolist()))
-    best = -math.inf
-    for lam, level in points:
-        if not (0.0 < level < 1.0):
-            raise ValueError("level function must map into (0, 1)")
-        best = max(best, estimator(a - lam * l, w, level) / lam)
-    return best
+    return _grid_sup(sample, gamma, n_grid, breakpoints, avar_empirical, liability_side=False)
 
 
 def l_revar(sample: WeightedSample, gamma, n_grid: int = 1001) -> float:
-    """Liability-side Recovery VaR on a sample with x = assets, y = liabilities."""
-    return _liability_side(sample, gamma, n_grid, var_empirical)
+    """Liability-side Recovery VaR on a sample with x = assets, y = liabilities:
+    sup over (0, 1] of (1/lam) VaR_{gamma(lam)}(x - lam y), whose sign agrees
+    with the asset-side solvency test when ``gamma`` is piecewise constant."""
+    return _grid_sup(sample, gamma, n_grid, (), var_empirical, liability_side=True)
 
 
 def l_reavar(sample: WeightedSample, gamma, n_grid: int = 1001) -> float:
     """Liability-side Recovery AVaR on a sample with x = assets, y = liabilities."""
-    return _liability_side(sample, gamma, n_grid, avar_empirical)
+    return _grid_sup(sample, gamma, n_grid, (), avar_empirical, liability_side=True)
 
 
 @dataclass(frozen=True)

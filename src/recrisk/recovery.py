@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .samples import write_text
+
 
 @dataclass(frozen=True)
 class RecoveryFunction:
@@ -89,5 +91,4 @@ def load_recovery_function(path) -> RecoveryFunction:
 
 
 def save_recovery_function(gamma: RecoveryFunction, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(gamma.to_json() + "\n")
+    write_text(gamma.to_json() + "\n", path)

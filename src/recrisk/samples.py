@@ -4,6 +4,10 @@ A :class:`WeightedSample` is the universal input to all empirical risk
 estimators: ``M`` joint scenarios of a pair ``(x, y)`` with strictly positive
 probability weights summing to one.  Depending on context ``x`` plays the net
 asset value (or its change) and ``y`` the liabilities.
+
+The module also holds what every reader and writer shares: the weight
+validation (:func:`checked_weights`), the CSV table reader
+(:func:`read_table`) and the text writer (:func:`write_text`).
 """
 
 from __future__ import annotations
@@ -22,16 +26,24 @@ _Y_ALIASES = ("y", "L", "l")
 _A_ALIASES = ("A", "a")
 
 
-def _validate_weights(weights: np.ndarray) -> None:
-    if weights.ndim != 1 or weights.size == 0:
-        raise ValueError("weights must be a non-empty 1-d array")
-    if not np.all(np.isfinite(weights)):
+def checked_weights(weights, n: int) -> np.ndarray:
+    """Probability weights for ``n`` scenarios: uniform ``1/n`` when
+    ``weights`` is None, otherwise the given weights once they are a finite,
+    strictly positive 1-d array of length ``n`` summing to 1 within
+    ``WEIGHT_SUM_TOL``."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    if w.shape != (n,):
+        raise ValueError(f"weights must be a 1-d array of length {n}, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
         raise ValueError("weights contain non-finite values")
-    if np.any(weights <= 0.0):
+    if np.any(w <= 0.0):
         raise ValueError("weights must be strictly positive")
-    total = float(np.sum(weights))
+    total = float(np.sum(w))
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
+    return w
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -55,13 +67,7 @@ class WeightedSample:
             raise ValueError("x and y must be non-empty 1-d arrays of equal length")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("scenario values must be finite")
-        if self.weights is None:
-            w = np.full(x.size, 1.0 / x.size)
-        else:
-            w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-            if w.size != x.size:
-                raise ValueError("weights length must match the number of scenarios")
-            _validate_weights(w)
+        w = checked_weights(self.weights, x.size)
         object.__setattr__(self, "x", _frozen(x))
         object.__setattr__(self, "y", _frozen(y))
         object.__setattr__(self, "weights", _frozen(w))
@@ -88,8 +94,7 @@ class WeightedSample:
         return float(np.dot(self.weights, self.y))
 
 
-def _parse_header(fields: list[str]) -> tuple[int | None, int, int, int | None]:
-    cols = [f.strip() for f in fields]
+def _parse_header(cols: list[str]) -> tuple[int | None, int, int, int | None]:
     def find(aliases):
         for name in aliases:
             if name in cols:
@@ -107,12 +112,14 @@ def _parse_header(fields: list[str]) -> tuple[int | None, int, int, int | None]:
     return wi, xi, yi, ai
 
 
-def read_scenario_csv(path_or_buffer) -> tuple[WeightedSample, np.ndarray | None]:
-    """Read a scenario CSV; returns the sample and the asset column if present.
+def read_table(path_or_buffer, what: str) -> tuple[list[str], np.ndarray]:
+    """Read a comma-separated table of floats from a path or a text buffer.
 
-    Header ``weight,x,y`` with the weight column optional (uniform weights
-    then apply).  Lines starting with ``#`` are comments.  UTF-8, '.' decimal
-    separator, no thousands separators.
+    UTF-8, '.' decimal separator, no thousands separators; blank lines and
+    lines starting with ``#`` are skipped, and the first remaining line is
+    the header.  Returns the stripped column names and the (rows, columns)
+    data.  ``what`` names the table in error messages; a ragged or
+    non-numeric row is reported with its line number in the file.
     """
     if hasattr(path_or_buffer, "read"):
         text = path_or_buffer.read()
@@ -122,18 +129,57 @@ def read_scenario_csv(path_or_buffer) -> tuple[WeightedSample, np.ndarray | None
     rows = [ln.strip() for ln in text.splitlines()]
     rows = [ln for ln in rows if ln and not ln.startswith("#")]
     if not rows:
-        raise ValueError("scenario CSV is empty")
-    wi, xi, yi, ai = _parse_header(rows[0].split(","))
-    data = []
-    for ln in rows[1:]:
-        parts = ln.split(",")
-        data.append([float(p) for p in parts])
-    if not data:
-        raise ValueError("scenario CSV has a header but no rows")
-    arr = np.asarray(data, dtype=float)
-    weights = arr[:, wi] if wi is not None else None
-    assets = arr[:, ai] if ai is not None else None
-    return WeightedSample(arr[:, xi], arr[:, yi], weights), assets
+        raise ValueError(f"{what} is empty")
+    cols = [c.strip() for c in rows[0].split(",")]
+    if len(rows) == 1:
+        raise ValueError(f"{what} has a header but no rows")
+    try:
+        data = np.asarray([[float(p) for p in ln.split(",")] for ln in rows[1:]], dtype=float)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(cols):
+        raise ValueError(f"{what} {_first_bad_row(text, len(cols))}")
+    return cols, data
+
+
+def _first_bad_row(text: str, width: int) -> str:
+    """Describe the first data row of ``text`` that is ragged or not numeric.
+    Called only once the fast parse has failed, so a good file pays nothing."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)]
+    data = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")][1:]
+    for n, ln in data:
+        fields = ln.split(",")
+        if len(fields) != width:
+            return f"line {n} has {len(fields)} fields, the header has {width}"
+        for field in fields:
+            try:
+                float(field)
+            except ValueError:
+                return f"line {n}: {field.strip()!r} is not a number"
+    return "has malformed rows"
+
+
+def write_text(payload: str, path_or_buffer) -> None:
+    """Write ``payload`` to a text buffer, or to a file path as UTF-8 with the
+    line endings unchanged."""
+    if hasattr(path_or_buffer, "write"):
+        path_or_buffer.write(payload)
+    else:
+        with open(path_or_buffer, "w", encoding="utf-8", newline="") as fh:
+            fh.write(payload)
+
+
+def read_scenario_csv(path_or_buffer) -> tuple[WeightedSample, np.ndarray | None]:
+    """Read a scenario CSV; returns the sample and the asset column if present.
+
+    Header ``weight,x,y`` with the weight column optional (uniform weights
+    then apply); the format is that of :func:`read_table`.
+    """
+    cols, data = read_table(path_or_buffer, "scenario CSV")
+    wi, xi, yi, ai = _parse_header(cols)
+    weights = data[:, wi] if wi is not None else None
+    assets = data[:, ai] if ai is not None else None
+    return WeightedSample(data[:, xi], data[:, yi], weights), assets
 
 
 def write_scenario_csv(sample: WeightedSample, path_or_buffer,
@@ -152,9 +198,4 @@ def write_scenario_csv(sample: WeightedSample, path_or_buffer,
         if assets is not None:
             row.append(assets[m])
         buf.write(",".join(repr(float(v)) for v in row) + "\n")
-    payload = buf.getvalue()
-    if hasattr(path_or_buffer, "write"):
-        path_or_buffer.write(payload)
-    else:
-        with open(path_or_buffer, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+    write_text(buf.getvalue(), path_or_buffer)

@@ -61,10 +61,6 @@ class LinearProgram:
     def n_variables(self) -> int:
         return self.objective.size
 
-    @property
-    def n_rows(self) -> int:
-        return self.b_ub.size + self.b_eq.size
-
 
 @dataclass(frozen=True)
 class LPSolution:

@@ -153,3 +153,49 @@ def test_frontier_command(tmp_path):
 
 def test_selftest_passes():
     assert main(["selftest"]) == 0
+
+
+BAD_ROW_ARGV = {
+    "measure": ["measure", "--scenarios", "{data}", "--measure", "var", "--level", "1%"],
+    "allocate": ["allocate", "--scenarios", "{data}", "--gamma", "{gamma}"],
+    "frontier": ["frontier", "--problem", "{data}", "--config", "{config}"],
+}
+BAD_ROW_HEADER = {"measure": "weight,x,y", "allocate": "weight,dE_1,L_1",
+                  "frontier": "weight,R_1,Z"}
+
+
+def run_with_table(tmp_path, capsys, command, text):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    gamma = tmp_path / "g.json"
+    gamma.write_text(RecoveryFunction.constant(0.1).to_json())
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"gamma": {"breakpoints": [], "levels": [0.1]},
+                                  "c_grid": [0.01]}))
+    argv = [a.format(data=data, gamma=gamma, config=config) for a in BAD_ROW_ARGV[command]]
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("0.5,1.0", "line 4 has 2 fields, the header has 3"),
+    ("0.5,abc,2.0", "line 4: 'abc' is not a number"),
+], ids=["ragged", "non-numeric"])
+@pytest.mark.parametrize("command", sorted(BAD_ROW_ARGV))
+def test_malformed_row_names_its_line(tmp_path, capsys, command, bad_row, message):
+    text = f"# comment\n{BAD_ROW_HEADER[command]}\n0.5,1.0,2.0\n{bad_row}\n"
+    code, err = run_with_table(tmp_path, capsys, command, text)
+    assert code == 1
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("weight,R_1,Z\n", "no rows"),
+    ("weight,R_1,Z\n0.5,0.01,0.1\nnan,0.02,0.1\n", "non-finite"),
+], ids=["header-only", "nan-weight"])
+def test_frontier_rejects_unusable_problem(tmp_path, capsys, text, message):
+    code, err = run_with_table(tmp_path, capsys, "frontier", text)
+    assert code == 1
+    assert message in err
+    assert "Traceback" not in err

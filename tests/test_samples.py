@@ -3,6 +3,10 @@ import io
 import numpy as np
 import pytest
 
+from recrisk.allocation import DivisionalSample
+from recrisk.frontier import PortfolioProblem
+from recrisk.measures import var_empirical
+from recrisk.recovery import RecoveryFunction
 from recrisk.samples import WeightedSample, read_scenario_csv, write_scenario_csv
 
 
@@ -63,3 +67,25 @@ def test_csv_without_weight_column():
 def test_csv_missing_columns_rejected():
     with pytest.raises(ValueError):
         read_scenario_csv(io.StringIO("a,b\n1,2\n"))
+
+
+WEIGHTED_CONSTRUCTORS = {
+    "WeightedSample": lambda w: WeightedSample([1.0, 2.0, 3.0], [0.0, 1.0, 2.0], w),
+    "var_empirical": lambda w: var_empirical([1.0, 2.0, 3.0], w, 0.1),
+    "DivisionalSample": lambda w: DivisionalSample(np.zeros((3, 2)), np.ones((3, 2)), w),
+    "PortfolioProblem": lambda w: PortfolioProblem(np.zeros((3, 2)), np.zeros(3),
+                                                   RecoveryFunction.constant(0.5), weights=w),
+}
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([0.5, np.nan, 0.5], "non-finite"),
+    ([0.5, 0.0, 0.5], "strictly positive"),
+    ([0.6, -0.1, 0.5], "strictly positive"),
+    ([0.5, 0.5], "length 3"),
+    ([0.25, 0.25, 0.5 + 1e-9], r"got 1\.000000001"),
+], ids=["nan", "zero", "negative", "wrong-length", "sum-off-1e-9"])
+@pytest.mark.parametrize("build", WEIGHTED_CONSTRUCTORS.values(), ids=WEIGHTED_CONSTRUCTORS.keys())
+def test_bad_weights_rejected_everywhere(build, weights, message):
+    with pytest.raises(ValueError, match=message):
+        build(np.asarray(weights))
