@@ -18,7 +18,7 @@ import numpy as np
 
 from .balancesheet import BalanceSheetModel, sample_scenarios, loss_probability
 from .errors import DenominatorNotPositive
-from .measures import LEVEL_EPS, avar_empirical, revar, var_empirical
+from .measures import _ascending, avar_empirical, revar, tail_index, var_empirical
 from .recovery import RecoveryFunction
 from .samples import WeightedSample, write_text
 
@@ -126,12 +126,8 @@ def revar_two_piece_grid(sample: WeightedSample, config: AggRecAdjConfig) -> np.
     rs = config.r_nodes()
     out = np.empty((betas.size, rs.size))
     for j, r in enumerate(rs):
-        z = x + (1.0 - r) * y
-        order = np.argsort(z, kind="stable")
-        zs = z[order]
-        c = np.cumsum(w[order])
-        idx = np.minimum(np.searchsorted(c, betas + LEVEL_EPS, side="right"), zs.size - 1)
-        out[:, j] = np.maximum(-zs[idx], var_alpha)
+        _, zs, _, c = _ascending(x + (1.0 - r) * y, w)
+        out[:, j] = np.maximum(-zs[tail_index(c, betas)], var_alpha)
     return out
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousBindingIndex, DenominatorNotPositive
-from .measures import reavar, reavar_pieces, tail_index
+from .measures import reavar, reavar_pieces, tail_weights
 from .recovery import RecoveryFunction
-from .samples import WeightedSample, _frozen, checked_weights, read_table, write_text
+from .samples import WeightedSample, _frozen, checked_weights, read_table, write_text, xy_columns
 
 __all__ = [
     "DivisionalSample", "AllocationResult", "euler_allocation",
@@ -78,18 +78,6 @@ class AllocationResult:
     aggregate_rorac: float | None
 
 
-def _tail_weights(order: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndarray:
-    """Scenario weights of the exact alpha-tail along the given ascending order."""
-    ws = weights[order]
-    c = np.cumsum(ws)
-    m = tail_index(c, alpha)
-    tail = np.zeros_like(weights)
-    tail[order[:m]] = weights[order[:m]]
-    c_prev = float(c[m - 1]) if m > 0 else 0.0
-    tail[order[m]] += max(alpha - c_prev, 0.0)
-    return tail
-
-
 def euler_allocation(sample: DivisionalSample, gamma: RecoveryFunction,
                      gap_tol: float = DEFAULT_GAP_TOL) -> AllocationResult:
     """Per-division capital under Recovery AVaR with a strict binding piece."""
@@ -109,9 +97,7 @@ def euler_allocation(sample: DivisionalSample, gamma: RecoveryFunction,
         gap = float("inf")
     r_j, alpha_j = ev.binding_fraction, ev.binding_level
 
-    s_agg = agg.x + (1.0 - r_j) * agg.y
-    order = np.argsort(s_agg, kind="stable")  # ties resolve by scenario index
-    tail = _tail_weights(order, sample.weights, alpha_j)
+    tail = tail_weights(agg.x + (1.0 - r_j) * agg.y, sample.weights, alpha_j)
     s_div = sample.de + (1.0 - r_j) * sample.liabilities
     kappa = -(tail @ s_div) / alpha_j
 
@@ -208,24 +194,21 @@ def allocation_property_check(sample: DivisionalSample, gamma: RecoveryFunction,
 
 def read_divisional_csv(path_or_buffer) -> DivisionalSample:
     """Read a divisional CSV with header ``weight,dE_1..dE_N,L_1..L_N``
-    (weight column optional).
+    (weight column optional, columns in any order).
 
     Plain scenario files (``weight,x,y`` or simulator output
-    ``weight,deltaE,L,A``) are accepted as a single division.
+    ``weight,deltaE,L,A``, under the aliases :func:`read_scenario_csv`
+    accepts) are read as a single division.
     """
-    cols, data = read_table(path_or_buffer, "divisional CSV")
+    cols, data, weights = read_table(path_or_buffer, "divisional CSV")
     de_cols = sorted((j for j, c in enumerate(cols) if c.startswith("dE_")),
                      key=lambda j: int(cols[j][3:]))
     l_cols = sorted((j for j, c in enumerate(cols) if c.startswith("L_")),
                     key=lambda j: int(cols[j][2:]))
-    if not de_cols:
-        single_de = next((j for j, c in enumerate(cols) if c in ("x", "deltaE", "dE")), None)
-        single_l = next((j for j, c in enumerate(cols) if c in ("y", "L")), None)
-        if single_de is not None and single_l is not None:
-            de_cols, l_cols = [single_de], [single_l]
+    if not de_cols and None not in (xy := xy_columns(cols)):
+        de_cols, l_cols = [xy[0]], [xy[1]]
     if not de_cols or len(de_cols) != len(l_cols):
         raise ValueError("divisional CSV needs matching dE_1..dE_N and L_1..L_N columns")
-    weights = data[:, 0] if cols[0] == "weight" else None
     return DivisionalSample(data[:, de_cols], data[:, l_cols], weights)
 
 

@@ -104,6 +104,11 @@ class BalanceSheetModel:
     @classmethod
     def from_json(cls, payload: str | dict) -> "BalanceSheetModel":
         obj = json.loads(payload) if isinstance(payload, str) else payload
+        if not isinstance(obj, dict):
+            raise ValueError("balance-sheet model JSON must be an object of model fields")
+        for key, value in obj.items():
+            if key not in cls.__dataclass_fields__ or not isinstance(value, (int, float)):
+                raise ValueError(f"balance-sheet model field {key!r} is unknown or not a number")
         return cls(**obj)
 
     # Splice constants: body quantile at the splice level and the shift that

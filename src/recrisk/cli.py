@@ -201,14 +201,14 @@ def _cmd_calibrate(args) -> int:
                                        parse_level(args.alpha))
     gamma = calibration.calibrate_gamma(inp)
     discrete = calibration.discretize_gamma(gamma, args.pieces)
-    save_recovery_function(discrete, args.out)
+    save_recovery_function(discrete, _out(args.out))
     summary = {
         "lambda_star": gamma.lambda_star,
         "plateau": gamma.plateau,
         "pieces": discrete.n_pieces,
         "out": args.out,
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json.dumps(summary, indent=2, sort_keys=True), file=sys.stderr)
     return EXIT_OK
 
 
@@ -233,11 +233,12 @@ def _cmd_allocate(args) -> int:
 def _cmd_frontier(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("frontier config must be a JSON object with budget, gamma and c_grid")
     gamma = RecoveryFunction.from_json(config["gamma"])
     problem = frontier.read_problem_csv(args.problem, gamma,
                                         budget=float(config.get("budget", 1.0)))
-    c_grid = np.asarray(config["c_grid"], dtype=float)
-    result = frontier.efficient_frontier(problem, c_grid)
+    result = frontier.efficient_frontier(problem, config["c_grid"])
     frontier.write_frontier_csv(result, problem.n_assets, _out(args.out))
     if not result.convex_in_c:
         print("warning: frontier risk not convex in the target return", file=sys.stderr)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, TargetReturnInfeasible
-from .measures import LEVEL_EPS, avar_empirical
+from .measures import avar_empirical, quantile_interval
 from .recovery import RecoveryFunction
 from .samples import WeightedSample, _frozen, checked_weights, read_table, write_text
 from .simplex import LinearProgram, LPSolution, solve_lp
@@ -102,18 +102,6 @@ def psi(problem: PortfolioProblem, i: int, x, v: float) -> float:
     return expect / alpha_i - float(v)
 
 
-def _weighted_quantile_interval(values: np.ndarray, weights: np.ndarray,
-                                alpha: float) -> tuple[float, float]:
-    order = np.argsort(values, kind="stable")
-    vs = values[order]
-    c = np.cumsum(weights[order])
-    lo = int(np.searchsorted(c, alpha - LEVEL_EPS, side="left"))
-    hi = int(np.searchsorted(c, alpha + LEVEL_EPS, side="right"))
-    lo = min(lo, vs.size - 1)
-    hi = min(hi, vs.size - 1)
-    return float(vs[lo]), float(vs[hi])
-
-
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
     """Golden-section minimum of a convex scalar function on [lo, hi];
     returns (argmin, best value seen, including the endpoint evaluations)."""
@@ -166,7 +154,7 @@ def minimax_check(problem: PortfolioProblem, x) -> MinimaxResult:
     v_star = math.nan
     for i, (r_i, alpha_i) in enumerate(pieces):
         w_vals = problem.returns @ x - r_i * problem.liability_fraction
-        lo, hi = _weighted_quantile_interval(w_vals, problem.weights, alpha_i)
+        lo, hi = quantile_interval(w_vals, problem.weights, alpha_i)
         v_min, inner = _golden_min(lambda v, i=i: psi(problem, i, x, v), lo, hi)
         if inner > lhs:
             lhs, v_star = inner, v_min
@@ -326,13 +314,13 @@ def efficient_frontier(problem: PortfolioProblem, c_grid) -> FrontierResult:
 
 def read_problem_csv(path_or_buffer, gamma: RecoveryFunction,
                      budget: float = 1.0) -> PortfolioProblem:
-    """Problem CSV: header ``weight,R_1..R_K,Z`` (weight optional)."""
-    cols, data = read_table(path_or_buffer, "problem CSV")
+    """Problem CSV: header ``weight,R_1..R_K,Z`` (weight optional, columns in
+    any order)."""
+    cols, data, weights = read_table(path_or_buffer, "problem CSV")
     r_cols = sorted((j for j, c in enumerate(cols) if c.startswith("R_")),
                     key=lambda j: int(cols[j][2:]))
     if not r_cols or "Z" not in cols:
         raise ValueError("problem CSV needs R_1..R_K and Z columns")
-    weights = data[:, 0] if cols[0] == "weight" else None
     return PortfolioProblem(data[:, r_cols], data[:, cols.index("Z")], gamma,
                             budget=budget, weights=weights)
 

@@ -40,11 +40,42 @@ _DUAL_LEVEL_SLACK = 1e-12
 LEVEL_EPS = 1e-12
 
 
-def tail_index(cumweights: np.ndarray, alpha: float) -> int:
+def _ascending(values: np.ndarray, weights: np.ndarray):
+    """The tail kernel: stable ascending order of ``values`` (ties resolve by
+    scenario index), the sorted values, the sorted weights and their
+    cumulative sum.  Every quantile, tail average and tail weight reads it."""
+    order = np.argsort(values, kind="stable")
+    ws = weights[order]
+    return order, values[order], ws, np.cumsum(ws)
+
+
+def tail_index(cumweights: np.ndarray, alpha):
     """Index of the marginal scenario: min { m : c_m > alpha } with a
-    summation-noise guard, clamped into range."""
-    m = int(np.searchsorted(cumweights, alpha + LEVEL_EPS, side="right"))
-    return min(m, cumweights.size - 1)
+    summation-noise guard, clamped into range; one index per level when
+    ``alpha`` is an array of levels."""
+    m = np.searchsorted(cumweights, np.asarray(alpha) + LEVEL_EPS, side="right")
+    return np.minimum(m, cumweights.size - 1)
+
+
+def quantile_interval(values: np.ndarray, weights: np.ndarray,
+                      alpha: float) -> tuple[float, float]:
+    """Lower and upper ``alpha``-quantiles of a weighted sample: the first
+    sorted values whose cumulative weight reaches, and exceeds, ``alpha``."""
+    _, vs, _, c = _ascending(values, weights)
+    lo = min(int(np.searchsorted(c, alpha - LEVEL_EPS, side="left")), vs.size - 1)
+    return float(vs[lo]), float(vs[tail_index(c, alpha)])
+
+
+def tail_weights(values: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndarray:
+    """Scenario weights of the exact ``alpha``-tail of ``values``, with a
+    fractional weight on the marginal scenario; they sum to ``alpha``."""
+    order, _, ws, c = _ascending(values, weights)
+    m = tail_index(c, alpha)
+    tail = np.zeros_like(weights)
+    tail[order[:m]] = ws[:m]
+    c_prev = float(c[m - 1]) if m > 0 else 0.0
+    tail[order[m]] += max(alpha - c_prev, 0.0)
+    return tail
 
 
 def _prepare(values, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -66,10 +97,7 @@ def _check_level(alpha: float) -> float:
 def var_empirical(values, weights, alpha: float) -> float:
     """VaR at level ``alpha`` of a weighted discrete distribution."""
     alpha = _check_level(alpha)
-    v, w = _prepare(values, weights)
-    order = np.argsort(v, kind="stable")
-    vs = v[order]
-    c = np.cumsum(w[order])
+    _, vs, _, c = _ascending(*_prepare(values, weights))
     return float(-vs[tail_index(c, alpha)])
 
 
@@ -77,11 +105,7 @@ def avar_empirical(values, weights, alpha: float) -> float:
     """AVaR (expected shortfall) at level ``alpha``: exact tail average with a
     fractional weight on the marginal scenario."""
     alpha = _check_level(alpha)
-    v, w = _prepare(values, weights)
-    order = np.argsort(v, kind="stable")
-    vs = v[order]
-    ws = w[order]
-    c = np.cumsum(ws)
+    _, vs, ws, c = _ascending(*_prepare(values, weights))
     m = tail_index(c, alpha)
     head = float(np.dot(ws[:m], -vs[:m])) if m > 0 else 0.0
     c_prev = float(c[m - 1]) if m > 0 else 0.0

@@ -82,6 +82,10 @@ class RecoveryFunction:
     @classmethod
     def from_json(cls, payload: str | dict) -> "RecoveryFunction":
         obj = json.loads(payload) if isinstance(payload, str) else payload
+        for key in ("breakpoints", "levels"):
+            value = obj.get(key) if isinstance(obj, dict) else None
+            if not isinstance(value, (list, tuple)) or not all(isinstance(v, (int, float)) for v in value):
+                raise ValueError(f"level function field {key!r} must be a list of numbers, got {value!r}")
         return cls(tuple(obj["breakpoints"]), tuple(obj["levels"]))
 
 

@@ -94,32 +94,24 @@ class WeightedSample:
         return float(np.dot(self.weights, self.y))
 
 
-def _parse_header(cols: list[str]) -> tuple[int | None, int, int, int | None]:
-    def find(aliases):
-        for name in aliases:
-            if name in cols:
-                return cols.index(name)
-        return None
-    wi = cols.index("weight") if "weight" in cols else None
-    xi = find(_X_ALIASES)
-    yi = find(_Y_ALIASES)
-    ai = find(_A_ALIASES)
-    if xi is None or yi is None:
-        raise ValueError(
-            "scenario CSV must have columns weight,x,y (weight optional; "
-            "deltaE/L/A accepted as aliases); got header " + ",".join(cols)
-        )
-    return wi, xi, yi, ai
+def _column(cols: list[str], aliases: tuple[str, ...]) -> int | None:
+    return next((cols.index(name) for name in aliases if name in cols), None)
 
 
-def read_table(path_or_buffer, what: str) -> tuple[list[str], np.ndarray]:
+def xy_columns(cols: list[str]) -> tuple[int | None, int | None]:
+    """Positions of the x and y columns under their aliases (None if absent)."""
+    return _column(cols, _X_ALIASES), _column(cols, _Y_ALIASES)
+
+
+def read_table(path_or_buffer, what: str) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     """Read a comma-separated table of floats from a path or a text buffer.
 
     UTF-8, '.' decimal separator, no thousands separators; blank lines and
     lines starting with ``#`` are skipped, and the first remaining line is
-    the header.  Returns the stripped column names and the (rows, columns)
-    data.  ``what`` names the table in error messages; a ragged or
-    non-numeric row is reported with its line number in the file.
+    the header.  Returns the stripped column names, the (rows, columns) data
+    and the ``weight`` column wherever it sits (None without one: uniform
+    weights then apply).  ``what`` names the table in error messages; a
+    ragged or non-numeric row is reported with its line number in the file.
     """
     if hasattr(path_or_buffer, "read"):
         text = path_or_buffer.read()
@@ -139,7 +131,7 @@ def read_table(path_or_buffer, what: str) -> tuple[list[str], np.ndarray]:
         data = None
     if data is None or data.shape[1] != len(cols):
         raise ValueError(f"{what} {_first_bad_row(text, len(cols))}")
-    return cols, data
+    return cols, data, data[:, cols.index("weight")] if "weight" in cols else None
 
 
 def _first_bad_row(text: str, width: int) -> str:
@@ -173,11 +165,17 @@ def read_scenario_csv(path_or_buffer) -> tuple[WeightedSample, np.ndarray | None
     """Read a scenario CSV; returns the sample and the asset column if present.
 
     Header ``weight,x,y`` with the weight column optional (uniform weights
-    then apply); the format is that of :func:`read_table`.
+    then apply) and the columns in any order; the format is that of
+    :func:`read_table`.
     """
-    cols, data = read_table(path_or_buffer, "scenario CSV")
-    wi, xi, yi, ai = _parse_header(cols)
-    weights = data[:, wi] if wi is not None else None
+    cols, data, weights = read_table(path_or_buffer, "scenario CSV")
+    xi, yi = xy_columns(cols)
+    if xi is None or yi is None:
+        raise ValueError(
+            "scenario CSV must have columns weight,x,y (weight optional; "
+            "deltaE/L/A accepted as aliases); got header " + ",".join(cols)
+        )
+    ai = _column(cols, _A_ALIASES)
     assets = data[:, ai] if ai is not None else None
     return WeightedSample(data[:, xi], data[:, yi], weights), assets
 

@@ -199,3 +199,36 @@ def test_frontier_rejects_unusable_problem(tmp_path, capsys, text, message):
     assert code == 1
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["simulate", "--M", "10", "--seed", "1", "--model", "{f}"], {"foo": 1}, "'foo'"),
+    (["simulate", "--M", "10", "--seed", "1", "--model", "{f}"], {"tail_shape": "3"},
+     "'tail_shape'"),
+    (["measure", "--scenarios", "{data}", "--measure", "revar", "--gamma", "{f}"],
+     {"breakpoints": [], "levels": 5}, "'levels'"),
+    (["frontier", "--problem", "{data}", "--config", "{f}"],
+     {"gamma": {"breakpoints": [], "levels": 5}, "c_grid": [0.01]}, "'levels'"),
+    (["frontier", "--problem", "{data}", "--config", "{f}"], [0.01], "JSON object"),
+], ids=["model-unknown-field", "model-string-value", "gamma-levels-not-a-list",
+        "config-gamma-levels-not-a-list", "config-not-an-object"])
+def test_malformed_json_input_exits_one(tmp_path, capsys, argv, payload, message):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(payload))
+    data = tmp_path / "data.csv"
+    data.write_text("weight,x,y,R_1,Z\n0.5,1.0,2.0,0.1,0.1\n0.5,-1.0,1.0,0.0,0.2\n")
+    assert main([a.format(f=f, data=data) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_calibrate_out_dash_writes_the_level_function_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["calibrate", "--mu-de", "0", "--sd-de", "1", "--mu-l", "10", "--sd-l", "2",
+                 "--alpha", "1%", "--pieces", "4", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    gamma = RecoveryFunction.from_json(captured.out)
+    assert gamma.n_pieces <= 4
+    assert json.loads(captured.err)["pieces"] == gamma.n_pieces
+    assert list(tmp_path.iterdir()) == []

@@ -3,8 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from recrisk.allocation import DivisionalSample
-from recrisk.frontier import PortfolioProblem
+from recrisk.allocation import DivisionalSample, read_divisional_csv
+from recrisk.frontier import PortfolioProblem, read_problem_csv
 from recrisk.measures import var_empirical
 from recrisk.recovery import RecoveryFunction
 from recrisk.samples import WeightedSample, read_scenario_csv, write_scenario_csv
@@ -67,6 +67,25 @@ def test_csv_without_weight_column():
 def test_csv_missing_columns_rejected():
     with pytest.raises(ValueError):
         read_scenario_csv(io.StringIO("a,b\n1,2\n"))
+
+
+READERS = {
+    "scenario": lambda buf: read_scenario_csv(buf)[0].weights,
+    "divisional": lambda buf: read_divisional_csv(buf).weights,
+    "problem": lambda buf: read_problem_csv(buf, RecoveryFunction.constant(0.5)).weights,
+}
+
+
+@pytest.mark.parametrize("reader, header", [
+    ("scenario", "x,weight,y"),
+    ("divisional", "dE_1,weight,L_1"),
+    ("divisional", "x,l,weight"),
+    ("problem", "R_1,weight,Z"),
+], ids=["scenario", "divisional", "divisional-single-alias", "problem"])
+def test_readers_take_the_weight_column_anywhere(reader, header):
+    rows = "".join(",".join(w if c == "weight" else "1.0" for c in header.split(",")) + "\n"
+                   for w in ("0.9", "0.1"))
+    assert np.array_equal(READERS[reader](io.StringIO(header + "\n" + rows)), [0.9, 0.1])
 
 
 WEIGHTED_CONSTRUCTORS = {

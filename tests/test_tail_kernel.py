@@ -1,0 +1,152 @@
+"""The tail kernel in ``recrisk.measures`` against the argsort reference in
+``tail_reference``: every result must be bit-identical (``==``).
+
+Samples carry heavy ties (half-integer values from a small range) and one of
+three kinds of weights: dyadic, so that cumulative weights are exact and
+levels k / 2**p hit them exactly (the knife edge c_m == alpha); uniform 1/m,
+where levels k / m hit them up to summation noise; or arbitrary normalised
+weights.
+"""
+
+import re
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import tail_reference as ref
+from recrisk import measures
+from recrisk.adjustments import AggRecAdjConfig, revar_two_piece_grid
+from recrisk.allocation import DivisionalSample, euler_allocation
+from recrisk.recovery import RecoveryFunction
+from recrisk.samples import WeightedSample
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "recrisk"
+
+TIED = st.integers(min_value=-6, max_value=6).map(lambda k: k / 2.0)
+TIED_NONNEG = st.integers(min_value=0, max_value=4).map(float)
+
+
+@st.composite
+def weights(draw, m):
+    """(weights, grid): weights whose cumulative sums lie on, or within
+    summation noise of, the multiples of 1 / grid, or arbitrary positive
+    weights with grid None.  Dyadic weights count / 2**p sum exactly; uniform
+    weights 1 / m carry the noise that the knife-edge guard absorbs."""
+    kind = draw(st.sampled_from(["dyadic", "uniform", "arbitrary"]))
+    if kind == "dyadic":
+        counts = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=m, max_size=m))
+        denom = max(4, 1 << (sum(counts) - 1).bit_length())
+        counts[-1] += denom - sum(counts)
+        return np.asarray(counts, dtype=float) / denom, denom
+    if kind == "uniform" and m >= 4:
+        return np.full(m, 1.0 / m), m
+    raw = np.asarray(draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
+                                   min_size=m, max_size=m)))
+    return raw / raw.sum(), None
+
+
+@st.composite
+def levels(draw, w, grid):
+    """A level in (0, 1): on the weights' grid when there is one, otherwise a
+    cumulative weight of the sample or an arbitrary float."""
+    if grid is not None:
+        return draw(st.integers(min_value=1, max_value=grid - 1)) / grid
+    partial = [c for c in np.cumsum(w)[:-1].tolist() if 0.0 < c < 1.0]
+    if partial and draw(st.booleans()):
+        return draw(st.sampled_from(partial))
+    return draw(st.floats(min_value=1e-3, max_value=0.999))
+
+
+@st.composite
+def tied_values(draw, max_m=24):
+    m = draw(st.integers(min_value=1, max_value=max_m))
+    x = np.asarray(draw(st.lists(TIED, min_size=m, max_size=m)))
+    w, grid = draw(weights(m))
+    return x, w, draw(levels(w, grid))
+
+
+@st.composite
+def gammas(draw, grid):
+    """Piecewise level functions with dyadic breakpoints and levels on the
+    weights' grid."""
+    grid = grid or 64
+    n = draw(st.integers(min_value=1, max_value=3))
+    lv = draw(st.lists(st.integers(min_value=1, max_value=grid - 1), min_size=n, max_size=n,
+                       unique=True))
+    bp = draw(st.lists(st.integers(min_value=1, max_value=63), min_size=n - 1, max_size=n - 1,
+                       unique=True))
+    return RecoveryFunction(tuple(b / 64 for b in sorted(bp)), tuple(a / grid for a in sorted(lv)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_values())
+def test_var_and_avar_match_reference(case):
+    x, w, alpha = case
+    assert measures.var_empirical(x, w, alpha) == ref.var_empirical(x, w, alpha)
+    assert measures.avar_empirical(x, w, alpha) == ref.avar_empirical(x, w, alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_values())
+def test_quantile_interval_matches_reference(case):
+    x, w, alpha = case
+    assert measures.quantile_interval(x, w, alpha) == ref.weighted_quantile_interval(x, w, alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_two_piece_grid_matches_reference(data):
+    m = data.draw(st.integers(min_value=1, max_value=24))
+    x = np.asarray(data.draw(st.lists(TIED, min_size=m, max_size=m)))
+    y = np.asarray(data.draw(st.lists(TIED_NONNEG, min_size=m, max_size=m)))
+    w, grid = data.draw(weights(m))
+    if grid is not None:
+        # On the half grid u = 1/(2 grid), odd b0 and odd s put the midpoint
+        # nodes (b0 + (2k + 1) s) u on multiples of 1/grid: knife edges.
+        unit = 0.5 / grid
+        n_beta = data.draw(st.sampled_from([n for n in (1, 2, 4, 8) if n < grid - 1]))
+        s = 2 * data.draw(st.integers(0, ((2 * grid - 3) // (2 * n_beta) - 1) // 2)) + 1
+        b0 = 2 * data.draw(st.integers(0, (2 * grid - 3 - 2 * s * n_beta) // 2)) + 1
+        top = b0 + 2 * s * n_beta
+        a = data.draw(st.integers(min_value=top + 1, max_value=2 * grid - 1))
+        beta_min, beta_max, alpha = b0 * unit, top * unit, a * unit
+    else:
+        n_beta = data.draw(st.sampled_from([1, 2, 4, 8]))
+        beta_min, beta_max, alpha = sorted(data.draw(st.lists(
+            st.floats(min_value=1e-3, max_value=0.999), min_size=3, max_size=3, unique=True)))
+    r_min, r_max = sorted(data.draw(st.lists(st.integers(min_value=1, max_value=15),
+                                             min_size=2, max_size=2, unique=True)))
+    config = AggRecAdjConfig(beta_min=beta_min, beta_max=beta_max, r_min=r_min / 16,
+                             r_max=r_max / 16, n_beta=n_beta,
+                             n_r=data.draw(st.integers(min_value=1, max_value=4)), alpha=alpha)
+    sample = WeightedSample(x, y, w)
+    assert np.array_equal(revar_two_piece_grid(sample, config),
+                          ref.revar_two_piece_grid(sample, config))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_euler_allocation_matches_reference(data):
+    m = data.draw(st.integers(min_value=1, max_value=20))
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    de = np.asarray(data.draw(st.lists(TIED, min_size=m * n, max_size=m * n))).reshape(m, n)
+    liab = np.asarray(data.draw(st.lists(TIED_NONNEG, min_size=m * n,
+                                         max_size=m * n))).reshape(m, n)
+    w, grid = data.draw(weights(m))
+    gamma = data.draw(gammas(grid))
+    sample = DivisionalSample(de, liab, w)
+    result = euler_allocation(sample, gamma, gap_tol=0.0)
+    binding, kappa = ref.euler_allocation(sample, gamma)
+    assert result.binding_index == binding
+    assert list(result.kappa) == kappa.tolist()
+
+
+def test_only_measures_sorts_scenarios():
+    """The tail decision (sort order, tie order, knife-edge guard) lives in
+    ``measures`` alone; every other module reads it through the kernel."""
+    offenders = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(SRC.glob("*.py")) if path.name != "measures.py"
+                 for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                 if re.search(r"\b(argsort|cumsum|LEVEL_EPS)\b", line)]
+    assert offenders == []
