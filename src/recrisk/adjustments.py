@@ -10,9 +10,8 @@ valid at every node.
 
 from __future__ import annotations
 
-import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .balancesheet import BalanceSheetModel, sample_scenarios, loss_probability
 from .errors import DenominatorNotPositive
 from .measures import _ascending, avar_empirical, revar, tail_index, var_empirical
 from .recovery import RecoveryFunction
-from .samples import WeightedSample, write_text
+from .samples import WeightedSample, write_table
 
 
 @dataclass(frozen=True)
@@ -218,19 +217,12 @@ def case_study_sweep(model: BalanceSheetModel, rho_grid, tau_grid,
     return [row for cell_rows in per_cell for row in cell_rows]
 
 
+# The sweep CSV header: the SweepRow fields in order.
 SWEEP_COLUMNS = ("rho", "tau", "regime", "loss_prob", "reg_capital",
                  "reg_measure_E1", "solvency_ratio",
                  "agg_rec_adj_integral", "agg_rec_adj_mean")
 
 
 def write_sweep_csv(rows: list[SweepRow], path_or_buffer) -> None:
-    buf = io.StringIO()
-    buf.write(",".join(SWEEP_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(",".join([
-            repr(row.rho), repr(row.tau), row.regime,
-            repr(row.loss_prob), repr(row.reg_capital), repr(row.reg_measure_e1),
-            repr(row.solvency_ratio), repr(row.agg_rec_adj_integral),
-            repr(row.agg_rec_adj_mean),
-        ]) + "\n")
-    write_text(buf.getvalue(), path_or_buffer)
+    write_table(path_or_buffer, SWEEP_COLUMNS,
+                [[getattr(row, f.name) for row in rows] for f in fields(SweepRow)])

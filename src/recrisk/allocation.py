@@ -9,7 +9,6 @@ weight on the marginal scenario; full allocation is then exact by linearity.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,8 @@ import numpy as np
 from .errors import AmbiguousBindingIndex, DenominatorNotPositive
 from .measures import reavar, reavar_pieces, tail_weights
 from .recovery import RecoveryFunction
-from .samples import WeightedSample, _frozen, checked_weights, read_table, write_text, xy_columns
+from .samples import (WeightedSample, _frozen, checked_weights, numbered_columns, read_table,
+                      write_table, xy_columns)
 
 __all__ = [
     "DivisionalSample", "AllocationResult", "euler_allocation",
@@ -201,10 +201,7 @@ def read_divisional_csv(path_or_buffer) -> DivisionalSample:
     accepts) are read as a single division.
     """
     cols, data, weights = read_table(path_or_buffer, "divisional CSV")
-    de_cols = sorted((j for j, c in enumerate(cols) if c.startswith("dE_")),
-                     key=lambda j: int(cols[j][3:]))
-    l_cols = sorted((j for j, c in enumerate(cols) if c.startswith("L_")),
-                    key=lambda j: int(cols[j][2:]))
+    de_cols, l_cols = numbered_columns(cols, "dE_"), numbered_columns(cols, "L_")
     if not de_cols and None not in (xy := xy_columns(cols)):
         de_cols, l_cols = [xy[0]], [xy[1]]
     if not de_cols or len(de_cols) != len(l_cols):
@@ -215,9 +212,4 @@ def read_divisional_csv(path_or_buffer) -> DivisionalSample:
 def write_divisional_csv(sample: DivisionalSample, path_or_buffer) -> None:
     n = sample.n_divisions
     cols = ["weight"] + [f"dE_{i+1}" for i in range(n)] + [f"L_{i+1}" for i in range(n)]
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for m in range(sample.n_scenarios):
-        vals = [sample.weights[m], *sample.de[m], *sample.liabilities[m]]
-        buf.write(",".join(repr(float(v)) for v in vals) + "\n")
-    write_text(buf.getvalue(), path_or_buffer)
+    write_table(path_or_buffer, cols, [sample.weights, *sample.de.T, *sample.liabilities.T])

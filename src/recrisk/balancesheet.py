@@ -83,6 +83,10 @@ class BalanceSheetModel:
     initial_net_asset_value: float = 6.5
 
     def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"balance-sheet model field {name!r} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.asset_log_sd <= 0.0:
             raise ValueError("asset log-sd must be positive")
         for name in ("body_shape", "body_rate", "tail_shape", "tail_rate"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -50,6 +51,10 @@ def parse_grid(token: str) -> np.ndarray:
         start, stop, count = token.split(":")
         return np.linspace(float(start), float(stop), int(count))
     return np.asarray([float(t) for t in token.split(",")])
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def _out(path: str):
@@ -97,13 +102,14 @@ def _cmd_measure(args) -> int:
         if args.gamma is None:
             raise ValueError("--gamma is required for recovery measures")
         gamma = load_recovery_function(args.gamma)
-        if name in ("revar", "reavar"):
+        if name in ("revar", "reavar") and args.E0 is not None:
+            v = measures.solvency_test(sample, gamma, args.E0, name)
+            out.update(value=v.measure_value, binding_fraction=v.binding_fraction,
+                       binding_level=v.binding_level, E0=args.E0, solvency_pass=v.passed)
+        elif name in ("revar", "reavar"):
             ev = (measures.revar_pieces if name == "revar" else measures.reavar_pieces)(sample, gamma)
             out.update(value=ev.value, binding_fraction=ev.binding_fraction,
                        binding_level=ev.binding_level)
-            if args.E0 is not None:
-                verdict = measures.solvency_test(sample, gamma, args.E0, name)
-                out.update(E0=args.E0, solvency_pass=verdict.passed)
         elif name in ("lrevar", "lreavar"):
             if assets is not None:
                 asset_values = assets
@@ -236,9 +242,14 @@ def _cmd_frontier(args) -> int:
     if not isinstance(config, dict):
         raise ValueError("frontier config must be a JSON object with budget, gamma and c_grid")
     gamma = RecoveryFunction.from_json(config["gamma"])
-    problem = frontier.read_problem_csv(args.problem, gamma,
-                                        budget=float(config.get("budget", 1.0)))
-    result = frontier.efficient_frontier(problem, config["c_grid"])
+    budget, c_grid = config.get("budget", 1.0), config.get("c_grid")
+    if not _is_finite_number(budget):
+        raise ValueError(f"frontier config field 'budget' must be a finite number, got {budget!r}")
+    if not isinstance(c_grid, list) or not all(map(_is_finite_number, c_grid)):
+        raise ValueError(f"frontier config field 'c_grid' must be a list of finite numbers, "
+                         f"got {c_grid!r}")
+    problem = frontier.read_problem_csv(args.problem, gamma, budget=budget)
+    result = frontier.efficient_frontier(problem, c_grid)
     frontier.write_frontier_csv(result, problem.n_assets, _out(args.out))
     if not result.convex_in_c:
         print("warning: frontier risk not convex in the target return", file=sys.stderr)

@@ -16,7 +16,6 @@ is exact.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -25,7 +24,8 @@ import numpy as np
 from .errors import NumericalError, TargetReturnInfeasible
 from .measures import avar_empirical, quantile_interval
 from .recovery import RecoveryFunction
-from .samples import WeightedSample, _frozen, checked_weights, read_table, write_text
+from .samples import (WeightedSample, _frozen, checked_weights, numbered_columns, read_table,
+                      write_table)
 from .simplex import LinearProgram, LPSolution, solve_lp
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 MINIMAX_TOL = 1e-6
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,8 @@ class PortfolioProblem:
             raise ValueError("returns must be (M, K) with liability fractions of length M")
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(z))):
             raise ValueError("scenario data must be finite")
-        if self.budget <= 0.0:
-            raise ValueError("budget must be positive")
+        if not (0.0 < self.budget < math.inf):
+            raise ValueError(f"budget must be positive and finite, got {self.budget!r}")
         w = checked_weights(self.weights, r.shape[0])
         for name, arr in (("returns", r), ("liability_fraction", z), ("weights", w)):
             object.__setattr__(self, name, _frozen(arr))
@@ -102,46 +101,20 @@ def psi(problem: PortfolioProblem, i: int, x, v: float) -> float:
     return expect / alpha_i - float(v)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section minimum of a convex scalar function on [lo, hi];
-    returns (argmin, best value seen, including the endpoint evaluations)."""
-    best_x, best_f = lo, f(lo)
-    f_hi = f(hi)
-    if f_hi < best_f:
-        best_x, best_f = hi, f_hi
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        for xx, ff in ((x1, f1), (x2, f2)):
-            if ff < best_f:
-                best_x, best_f = xx, ff
-    return best_x, best_f
-
-
 @dataclass(frozen=True)
 class MinimaxResult:
     lhs: float   # variational route: max over pieces of the inner minimum
     rhs: float   # direct route: max over pieces of the sorted tail average
     gap: float
-    v_star: float  # inner minimizer of the binding piece
+    v_star: float  # binding piece's lower quantile, where its psi is least
 
 
 def minimax_check(problem: PortfolioProblem, x) -> MinimaxResult:
     """Cross-check the two evaluations of the piecewise risk at allocation x.
 
-    Every piece's tail average is computed twice: by scalar minimization of
-    its variational form over the quantile bracket (where the minimum is
-    attained) with golden-section refinement, and by the direct sorted tail
+    Every piece's tail average is computed twice: by its variational form
+    psi evaluated at the piece's lower quantile, an exact minimizer
+    (Rockafellar & Uryasev 2000, Thm 1), and by the direct sorted tail
     average.  The check confirms the max-min exchange over the per-piece
     thresholds: minimizing each piece over its own threshold and then taking
     the worst piece reproduces the finite-max risk measure.  Raises
@@ -154,10 +127,10 @@ def minimax_check(problem: PortfolioProblem, x) -> MinimaxResult:
     v_star = math.nan
     for i, (r_i, alpha_i) in enumerate(pieces):
         w_vals = problem.returns @ x - r_i * problem.liability_fraction
-        lo, hi = quantile_interval(w_vals, problem.weights, alpha_i)
-        v_min, inner = _golden_min(lambda v, i=i: psi(problem, i, x, v), lo, hi)
+        v_i = quantile_interval(w_vals, problem.weights, alpha_i)[0]
+        inner = psi(problem, i, x, v_i)
         if inner > lhs:
-            lhs, v_star = inner, v_min
+            lhs, v_star = inner, v_i
         rhs = max(rhs, avar_empirical(w_vals, problem.weights, alpha_i))
     gap = abs(rhs - lhs)
     if gap > MINIMAX_TOL:
@@ -317,8 +290,7 @@ def read_problem_csv(path_or_buffer, gamma: RecoveryFunction,
     """Problem CSV: header ``weight,R_1..R_K,Z`` (weight optional, columns in
     any order)."""
     cols, data, weights = read_table(path_or_buffer, "problem CSV")
-    r_cols = sorted((j for j, c in enumerate(cols) if c.startswith("R_")),
-                    key=lambda j: int(cols[j][2:]))
+    r_cols = numbered_columns(cols, "R_")
     if not r_cols or "Z" not in cols:
         raise ValueError("problem CSV needs R_1..R_K and Z columns")
     return PortfolioProblem(data[:, r_cols], data[:, cols.index("Z")], gamma,
@@ -326,12 +298,10 @@ def read_problem_csv(path_or_buffer, gamma: RecoveryFunction,
 
 
 def write_frontier_csv(result: FrontierResult, n_assets: int, path_or_buffer) -> None:
-    """Columns: c, risk (money scale), upsilon (raw optimum), x_1..x_K, status."""
+    """Columns: c, risk (money scale), upsilon (raw optimum), x_1..x_K, status;
+    the x columns of a point without an allocation read nan."""
+    pts = result.points
     cols = ["c", "risk", "upsilon"] + [f"x_{k+1}" for k in range(n_assets)] + ["status"]
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for p in result.points:
-        xs = list(p.x) if p.x else [math.nan] * n_assets
-        buf.write(",".join([repr(p.c), repr(p.risk), repr(p.upsilon)]
-                           + [repr(float(v)) for v in xs] + [p.status]) + "\n")
-    write_text(buf.getvalue(), path_or_buffer)
+    xs = [[p.x[k] if p.x else math.nan for p in pts] for k in range(n_assets)]
+    write_table(path_or_buffer, cols, [[p.c for p in pts], [p.risk for p in pts],
+                                       [p.upsilon for p in pts], *xs, [p.status for p in pts]])

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -154,14 +154,14 @@ def reavar(sample: WeightedSample, gamma: RecoveryFunction) -> float:
     return reavar_pieces(sample, gamma).value
 
 
-def _grid_sup(sample: WeightedSample, gamma, n_grid: int, breakpoints: Sequence[float],
+def _grid_sup(sample: WeightedSample, gamma, n_grid: int,
               estimator: Callable[..., float], liability_side: bool) -> float:
     """Grid supremum over recovery fractions lam of rho_{gamma(lam)} applied
     to x + (1 - lam) y (asset side) or of (1/lam) rho_{gamma(lam)}(x - lam y)
     (liability side, x = assets, lam in (0, 1]).
 
-    The points are a uniform grid augmented at breakpoints.  The asset side
-    samples both one-sided levels at gamma's own and the supplied breakpoints;
+    The points are a uniform grid augmented at the breakpoints of a piecewise
+    gamma.  The asset side samples both one-sided levels at each breakpoint;
     the liability side samples the left-limit level at gamma's breakpoints and
     the last level at lam = 1.  The grid sup bounds the supremum from below;
     the breakpoint terms make it exact for piecewise-constant level functions.
@@ -187,16 +187,13 @@ def _grid_sup(sample: WeightedSample, gamma, n_grid: int, breakpoints: Sequence[
             points.extend((r, gamma.left_limit(r)) for r in gamma.breakpoints)
             points.append((1.0, gamma.levels[-1]))
         return max(estimator(x - lam * y, w, level) / lam for lam, level in points)
-    bps = (tuple(gamma.breakpoints) if is_piecewise else ()) + tuple(breakpoints)
-    for r in map(float, bps):
-        if 0.0 < r < 1.0:
-            left = gamma.left_limit(r) if is_piecewise else float(gamma(math.nextafter(r, 0.0)))
-            points.extend([(r, float(gamma(r))), (r, left)])
+    if is_piecewise:
+        for r in gamma.breakpoints:
+            points.extend([(r, float(gamma(r))), (r, gamma.left_limit(r))])
     return max(estimator(x + (1.0 - lam) * y, w, level) for lam, level in points)
 
 
-def revar_grid(sample: WeightedSample, gamma, n_grid: int = 1001,
-               breakpoints: Sequence[float] = ()) -> float:
+def revar_grid(sample: WeightedSample, gamma, n_grid: int = 1001) -> float:
     """Grid approximation (from below) of the recovery-fraction supremum of
     VaR_{gamma(lam)}(x + (1 - lam) y).
 
@@ -204,25 +201,24 @@ def revar_grid(sample: WeightedSample, gamma, n_grid: int = 1001,
     the grid automatically, making the result exact) or any non-decreasing
     callable on [0, 1] with values in (0, 1).
     """
-    return _grid_sup(sample, gamma, n_grid, breakpoints, var_empirical, liability_side=False)
+    return _grid_sup(sample, gamma, n_grid, var_empirical, liability_side=False)
 
 
-def reavar_grid(sample: WeightedSample, gamma, n_grid: int = 1001,
-                breakpoints: Sequence[float] = ()) -> float:
+def reavar_grid(sample: WeightedSample, gamma, n_grid: int = 1001) -> float:
     """AVaR counterpart of :func:`revar_grid`."""
-    return _grid_sup(sample, gamma, n_grid, breakpoints, avar_empirical, liability_side=False)
+    return _grid_sup(sample, gamma, n_grid, avar_empirical, liability_side=False)
 
 
 def l_revar(sample: WeightedSample, gamma, n_grid: int = 1001) -> float:
     """Liability-side Recovery VaR on a sample with x = assets, y = liabilities:
     sup over (0, 1] of (1/lam) VaR_{gamma(lam)}(x - lam y), whose sign agrees
     with the asset-side solvency test when ``gamma`` is piecewise constant."""
-    return _grid_sup(sample, gamma, n_grid, (), var_empirical, liability_side=True)
+    return _grid_sup(sample, gamma, n_grid, var_empirical, liability_side=True)
 
 
 def l_reavar(sample: WeightedSample, gamma, n_grid: int = 1001) -> float:
     """Liability-side Recovery AVaR on a sample with x = assets, y = liabilities."""
-    return _grid_sup(sample, gamma, n_grid, (), avar_empirical, liability_side=True)
+    return _grid_sup(sample, gamma, n_grid, avar_empirical, liability_side=True)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,16 @@ asset value (or its change) and ``y`` the liabilities.
 
 The module also holds what every reader and writer shares: the weight
 validation (:func:`checked_weights`), the CSV table reader
-(:func:`read_table`) and the text writer (:func:`write_text`).
+(:func:`read_table`) with its numbered-column lookup
+(:func:`numbered_columns`), the CSV table writer (:func:`write_table`) and
+the text writer (:func:`write_text`).
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -103,6 +106,13 @@ def xy_columns(cols: list[str]) -> tuple[int | None, int | None]:
     return _column(cols, _X_ALIASES), _column(cols, _Y_ALIASES)
 
 
+def numbered_columns(cols: list[str], prefix: str) -> list[int]:
+    """Positions of the columns ``<prefix>1, <prefix>2, ...`` in number order,
+    wherever they sit in ``cols``."""
+    return sorted((j for j, c in enumerate(cols) if c.startswith(prefix)),
+                  key=lambda j: int(cols[j][len(prefix):]))
+
+
 def read_table(path_or_buffer, what: str) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     """Read a comma-separated table of floats from a path or a text buffer.
 
@@ -151,14 +161,33 @@ def _first_bad_row(text: str, width: int) -> str:
     return "has malformed rows"
 
 
-def write_text(payload: str, path_or_buffer) -> None:
-    """Write ``payload`` to a text buffer, or to a file path as UTF-8 with the
-    line endings unchanged."""
+def write_text(payload, path_or_buffer) -> None:
+    """Write ``payload``, a string or an iterable of strings written in turn,
+    to a text buffer, or to a file path as UTF-8 with the line endings
+    unchanged."""
+    chunks = [payload] if isinstance(payload, str) else payload
     if hasattr(path_or_buffer, "write"):
-        path_or_buffer.write(payload)
+        path_or_buffer.writelines(chunks)
     else:
         with open(path_or_buffer, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
+
+
+def _cells(column) -> Iterable[str]:
+    if len(column) and isinstance(column[0], str):
+        return column
+    return map(repr, np.asarray(column, dtype=float).tolist())
+
+
+def write_table(path_or_buffer, header, columns, comment: str | None = None) -> None:
+    """Write a CSV table: an optional ``# comment`` line, the header, then one
+    row per entry of the equally long ``columns``, with ``\n`` line endings.
+    Floats are written as ``repr(float)`` (the shortest string that reads
+    back bit-exactly), strings as they are.  Rows are streamed to the target
+    through :func:`write_text`, never held as one string."""
+    rows = (",".join(row) + "\n" for row in zip(*map(_cells, columns)))
+    head = ([f"# {comment}\n"] if comment else []) + [",".join(header) + "\n"]
+    write_text(chain(head, rows), path_or_buffer)
 
 
 def read_scenario_csv(path_or_buffer) -> tuple[WeightedSample, np.ndarray | None]:
@@ -182,18 +211,12 @@ def read_scenario_csv(path_or_buffer) -> tuple[WeightedSample, np.ndarray | None
 
 def write_scenario_csv(sample: WeightedSample, path_or_buffer,
                        assets: np.ndarray | None = None,
-                       header_comment: str | None = None,
-                       columns: tuple[str, ...] | None = None) -> None:
-    """Write a scenario CSV with deterministic shortest-roundtrip floats."""
-    if columns is None:
-        columns = ("weight", "x", "y") if assets is None else ("weight", "deltaE", "L", "A")
-    buf = io.StringIO()
-    if header_comment:
-        buf.write(f"# {header_comment}\n")
-    buf.write(",".join(columns) + "\n")
-    for m in range(sample.size):
-        row = [sample.weights[m], sample.x[m], sample.y[m]]
-        if assets is not None:
-            row.append(assets[m])
-        buf.write(",".join(repr(float(v)) for v in row) + "\n")
-    write_text(buf.getvalue(), path_or_buffer)
+                       header_comment: str | None = None) -> None:
+    """Write a scenario CSV (``weight,x,y``, or ``weight,deltaE,L,A`` with the
+    asset column) in the format of :func:`write_table`."""
+    if assets is None:
+        header, columns = ("weight", "x", "y"), (sample.weights, sample.x, sample.y)
+    else:
+        header = ("weight", "deltaE", "L", "A")
+        columns = (sample.weights, sample.x, sample.y, assets)
+    write_table(path_or_buffer, header, columns, header_comment)

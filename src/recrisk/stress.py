@@ -140,12 +140,11 @@ class PeakedLiabilityModel:
     tail_mass: float = 0.005
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.a < self.b < self.c):
-            raise ValueError("need 0 < a < b < c")
-        if self.asset_value <= 0.0:
-            raise ValueError("asset value must be positive")
-        if self.initial_capital <= 0.0:
-            raise ValueError("initial capital must be positive")
+        if not (0.0 < self.a < self.b < self.c < math.inf):
+            raise ValueError("need 0 < a < b < c < inf")
+        for name in ("asset_value", "initial_capital"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         # tail_mass < 1/3 keeps the 2*tail_mass quantile inside the body peak's
         # descending flank, which the tail-average closed form relies on.
         if not (0.0 < self.tail_mass < 1.0 / 3.0):
@@ -312,15 +311,15 @@ def extremal_construction(config: ExtremalSearchConfig, e0: float,
     midpoint of its admissible bracket, and the body scale comes from the
     binding solvency-ratio constraint.
     """
-    if e0 <= 0.0:
-        raise ValueError("initial capital must be positive")
+    if not (0.0 < e0 < math.inf):
+        raise ValueError(f"e0 must be positive and finite, got {e0!r}")
+    if anchor_a is not None and not (0.0 < anchor_a < math.inf):
+        raise ValueError(f"anchor_a must be positive and finite, got {anchor_a!r}")
     t_cap = (config.s_max - 1.0) / config.s_max * e0
     alpha, beta, r = config.alpha, config.beta, config.r
 
     if config.regime == "var":
         a = 10.0 * e0 if anchor_a is None else float(anchor_a)
-        if a <= 0.0:
-            raise ValueError("anchor a must be positive")
         k = a + t_cap
         q = k / r
         b = 0.5 * (a + q)

@@ -1,9 +1,11 @@
+import io
+
 import numpy as np
 import pytest
 
 from recrisk.adjustments import (AggRecAdjConfig, RegulatoryRegime, agg_rec_adj,
                                  case_study_sweep, parse_regime, rec_adj,
-                                 regulatory_capital, revar_two_piece_grid)
+                                 regulatory_capital, revar_two_piece_grid, write_sweep_csv)
 from recrisk.balancesheet import BalanceSheetModel, sample_scenarios
 from recrisk.errors import DenominatorNotPositive
 from recrisk.measures import avar_empirical, revar, var_empirical
@@ -178,3 +180,10 @@ def test_sweep_independent_of_worker_count():
     serial = case_study_sweep(model, [0.2, 0.6], [1.0, 3.0], regimes, 2_000, 9, workers=1)
     threaded = case_study_sweep(model, [0.2, 0.6], [1.0, 3.0], regimes, 2_000, 9, workers=4)
     assert serial == threaded
+
+
+def test_empty_sweep_csv_is_the_header_alone():
+    buf = io.StringIO()
+    write_sweep_csv([], buf)
+    assert buf.getvalue() == ("rho,tau,regime,loss_prob,reg_capital,reg_measure_E1,"
+                              "solvency_ratio,agg_rec_adj_integral,agg_rec_adj_mean\n")

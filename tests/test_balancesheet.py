@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -188,3 +189,12 @@ def test_model_json_round_trip_and_validation():
         BalanceSheetModel(splice_level=1.0)
     with pytest.raises(ValueError):
         BalanceSheetModel(copula_correlation=1.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", list(BalanceSheetModel.__dataclass_fields__))
+def test_model_rejects_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=f"'{name}' must be finite"):
+        BalanceSheetModel(**{name: value})
+    with pytest.raises(ValueError, match=f"'{name}' must be finite"):
+        BalanceSheetModel.from_json(json.dumps({name: value}))

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from recrisk import measures
 from recrisk.cli import main, parse_grid, parse_level
 from recrisk.recovery import RecoveryFunction
 from recrisk.stress import TwoStateCase, two_state_measures, two_state_sample
@@ -210,8 +211,17 @@ def test_frontier_rejects_unusable_problem(tmp_path, capsys, text, message):
     (["frontier", "--problem", "{data}", "--config", "{f}"],
      {"gamma": {"breakpoints": [], "levels": 5}, "c_grid": [0.01]}, "'levels'"),
     (["frontier", "--problem", "{data}", "--config", "{f}"], [0.01], "JSON object"),
+    (["frontier", "--problem", "{data}", "--config", "{f}"],
+     {"gamma": {"breakpoints": [], "levels": [0.1]}, "budget": [1], "c_grid": [0.01]},
+     "'budget'"),
+    (["frontier", "--problem", "{data}", "--config", "{f}"],
+     {"gamma": {"breakpoints": [], "levels": [0.1]}, "budget": float("nan"), "c_grid": [0.01]},
+     "'budget'"),
+    (["frontier", "--problem", "{data}", "--config", "{f}"],
+     {"gamma": {"breakpoints": [], "levels": [0.1]}, "c_grid": [{"a": 1}]}, "'c_grid'"),
 ], ids=["model-unknown-field", "model-string-value", "gamma-levels-not-a-list",
-        "config-gamma-levels-not-a-list", "config-not-an-object"])
+        "config-gamma-levels-not-a-list", "config-not-an-object", "config-budget-a-list",
+        "config-budget-nan", "config-c-grid-entry-an-object"])
 def test_malformed_json_input_exits_one(tmp_path, capsys, argv, payload, message):
     f = tmp_path / "input.json"
     f.write_text(json.dumps(payload))
@@ -221,6 +231,61 @@ def test_malformed_json_input_exits_one(tmp_path, capsys, argv, payload, message
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--M", "10", "--seed", "1", "--model", "{f}"], "'asset_log_sd'"),
+    (["simulate", "--M", "10", "--seed", "1", "--rho", "nan"], "'copula_correlation'"),
+    (["simulate", "--M", "10", "--seed", "1", "--tau", "inf"], "'tail_shape'"),
+    (["stress", "peaked", "--a", "10", "--b", "40", "--c", "60", "--k", "12", "--E0", "nan"],
+     "initial_capital"),
+    (["stress", "peaked", "--a", "10", "--b", "40", "--c", "60", "--k", "inf", "--E0", "5"],
+     "asset_value"),
+    (["stress", "extremal", "--E0", "inf"], "e0"),
+    (["stress", "extremal", "--E0", "6", "--anchor-a", "nan"], "anchor_a"),
+], ids=["model-nan-field", "rho-nan", "tau-inf", "peaked-E0-nan", "peaked-k-inf",
+        "extremal-E0-inf", "extremal-anchor-nan"])
+def test_non_finite_input_exits_one(tmp_path, capsys, argv, message):
+    f = tmp_path / "model.json"
+    f.write_text('{"asset_log_sd": NaN}')
+    out = tmp_path / "out"
+    assert main([a.format(f=f) for a in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def two_piece_scenarios(tmp_path):
+    scen = tmp_path / "s.csv"
+    with open(scen, "w", encoding="utf-8") as fh:
+        write_scenario_csv(two_state_sample(TwoStateCase(k=30.0, alpha=0.01, beta=0.004, r=0.8)),
+                           fh)
+    gamma_file = tmp_path / "g.json"
+    gamma_file.write_text(RecoveryFunction.two_piece(0.004, 0.8, 0.01).to_json())
+    return ["measure", "--scenarios", str(scen), "--gamma", str(gamma_file)]
+
+
+def test_measure_E0_inf_exits_one(tmp_path, capsys):
+    argv = two_piece_scenarios(tmp_path)
+    for name in ("revar", "reavar"):
+        assert main(argv + ["--measure", name, "--E0", "inf"]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+
+def test_measure_E0_evaluates_each_piece_once(tmp_path, monkeypatch):
+    calls = []
+    original = measures.avar_empirical
+    monkeypatch.setattr(measures, "avar_empirical", lambda *a: calls.append(a) or original(*a))
+    out = tmp_path / "out.json"
+    assert main(two_piece_scenarios(tmp_path)
+                + ["--measure", "reavar", "--E0", "1.0", "--out", str(out)]) == 0
+    assert len(calls) == 2
+    payload = json.loads(out.read_text())
+    terms = [original(*c) for c in calls]
+    assert payload["value"] == max(terms)
+    assert payload["binding_fraction"] == (0.8, 1.0)[terms.index(max(terms))]
+    assert payload["solvency_pass"] == (max(terms) <= 1.0)
 
 
 def test_calibrate_out_dash_writes_the_level_function_to_stdout(tmp_path, capsys, monkeypatch):

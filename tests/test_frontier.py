@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from recrisk.errors import TargetReturnInfeasible
-from recrisk.frontier import (FrontierResult, PortfolioProblem, build_lp,
+from recrisk.frontier import (FrontierPoint, FrontierResult, PortfolioProblem, build_lp,
                               efficient_frontier, minimax_check,
                               position_sample, psi, read_problem_csv,
                               solve_portfolio, write_frontier_csv)
@@ -264,3 +264,20 @@ def test_problem_csv_round_trip():
     write_frontier_csv(result, prob.n_assets, buf)
     header = buf.getvalue().splitlines()[0]
     assert header == "c,risk,upsilon,x_1,x_2,status"
+
+
+def test_frontier_csv_literal_text_with_an_infeasible_row():
+    result = FrontierResult((FrontierPoint(0.01, "Optimal", 0.5, -0.5, (0.25, 0.75)),
+                             FrontierPoint(0.5, "Infeasible", math.nan, math.nan, ())), True)
+    buf = io.StringIO()
+    write_frontier_csv(result, 2, buf)
+    assert buf.getvalue() == ("c,risk,upsilon,x_1,x_2,status\n"
+                              "0.01,-0.5,0.5,0.25,0.75,Optimal\n"
+                              "0.5,nan,nan,nan,nan,Infeasible\n")
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0])
+def test_budget_must_be_positive_and_finite(budget):
+    with pytest.raises(ValueError, match="budget"):
+        PortfolioProblem(np.zeros((2, 1)), np.zeros(2), RecoveryFunction.constant(0.5),
+                         budget=budget)

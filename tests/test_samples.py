@@ -7,7 +7,8 @@ from recrisk.allocation import DivisionalSample, read_divisional_csv
 from recrisk.frontier import PortfolioProblem, read_problem_csv
 from recrisk.measures import var_empirical
 from recrisk.recovery import RecoveryFunction
-from recrisk.samples import WeightedSample, read_scenario_csv, write_scenario_csv
+from recrisk.samples import (WeightedSample, numbered_columns, read_scenario_csv,
+                             write_scenario_csv, write_table)
 
 
 def test_uniform_weights_default():
@@ -62,6 +63,35 @@ def test_csv_without_weight_column():
     text = "x,y\n1.0,0.0\n2.0,0.5\n"
     sample, _ = read_scenario_csv(io.StringIO(text))
     assert np.allclose(sample.weights, 0.5)
+
+
+def test_write_table_format(tmp_path):
+    columns = [np.array([0.1, 1e-20, -0.0]), ["a", "b", "c"], [1, 2.5, float("nan")]]
+    expected = "# note\nv,s,w\n0.1,a,1.0\n1e-20,b,2.5\n-0.0,c,nan\n"
+    buf = io.StringIO()
+    write_table(buf, ["v", "s", "w"], columns, comment="note")
+    assert buf.getvalue() == expected
+    path = tmp_path / "t.csv"
+    write_table(str(path), ["v", "s", "w"], columns, comment="note")
+    assert path.read_bytes() == expected.encode()
+
+
+def test_scenario_csv_literal_text():
+    s = WeightedSample([1.5, -2.25], [0.5, 3.0], [0.25, 0.75])
+    buf = io.StringIO()
+    write_scenario_csv(s, buf, assets=np.array([2.0, 0.75]), header_comment="seed=1")
+    assert buf.getvalue() == "# seed=1\nweight,deltaE,L,A\n0.25,1.5,0.5,2.0\n0.75,-2.25,3.0,0.75\n"
+
+
+def test_numbered_columns_reads_shuffled_columns_in_number_order():
+    cols = ["R_10", "Z", "R_3", "R_1", "weight", "R_7", "R_2", "R_9", "R_5", "R_4", "R_8", "R_6"]
+    assert [cols[j] for j in numbered_columns(cols, "R_")] == [f"R_{k}" for k in range(1, 11)]
+    assert numbered_columns(cols, "L_") == []
+    row = ",".join("0.5" if c == "weight" else "0.0" if c == "Z" else str(int(c[2:]))
+                   for c in cols)
+    text = ",".join(cols) + "\n" + row + "\n" + row + "\n"
+    problem = read_problem_csv(io.StringIO(text), RecoveryFunction.constant(0.5))
+    assert problem.returns[0].tolist() == [float(k) for k in range(1, 11)]
 
 
 def test_csv_missing_columns_rejected():

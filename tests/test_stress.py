@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,3 +266,21 @@ def test_extremal_loss_probability_diagnostic():
     a = 2.0 * e0 / cfg.s_max
     witness = extremal_construction(cfg, e0, anchor_a=a)
     assert witness.loss_probability == pytest.approx(0.5, abs=0.02)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["asset_value", "initial_capital"])
+def test_peaked_model_rejects_non_finite_money(name, value):
+    fields = dict(a=10.0, b=40.0, c=60.0, asset_value=12.0, initial_capital=5.0)
+    with pytest.raises(ValueError, match=name):
+        PeakedLiabilityModel(**{**fields, name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_extremal_construction_rejects_non_finite_inputs(value):
+    cfg = ExtremalSearchConfig(s_min=1.2, s_max=3.0, regime="var", beta=0.0025, r=0.8)
+    with pytest.raises(ValueError, match="e0"):
+        extremal_construction(cfg, value, anchor_a=10.0)
+    for regime in ("var", "avar"):
+        with pytest.raises(ValueError, match="anchor_a"):
+            extremal_construction(replace(cfg, regime=regime), 6.0, anchor_a=value)

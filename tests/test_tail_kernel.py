@@ -150,3 +150,13 @@ def test_only_measures_sorts_scenarios():
                  for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                  if re.search(r"\b(argsort|cumsum|LEVEL_EPS)\b", line)]
     assert offenders == []
+
+
+def test_only_samples_formats_csv():
+    """The CSV output format lives in ``samples.write_table`` alone; the
+    other writers map their columns onto it."""
+    offenders = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(SRC.glob("*.py")) if path.name != "samples.py"
+                 for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                 if re.search(r"StringIO|repr\(float\(|^import io\b", line)]
+    assert offenders == []
