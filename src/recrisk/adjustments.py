@@ -114,9 +114,9 @@ class AggRecAdjConfig:
 def revar_two_piece_grid(sample: WeightedSample, config: AggRecAdjConfig) -> np.ndarray:
     """ReVaR values on the (beta, r) midpoint grid, sharing one scenario set.
 
-    Shape (n_beta, n_r).  Sorting is done once per r node; the beta axis only
-    moves the quantile index, which keeps the tensor evaluation cheap on
-    large samples.
+    Shape (n_beta, n_r).  The tail kernel runs once per r node, up to the
+    largest beta; the beta axis only moves the quantile index, which keeps
+    the tensor evaluation cheap on large samples.
     """
     sample.require_nonnegative_y("the recovery adjustment grid")
     x, y, w = sample.x, sample.y, sample.weights
@@ -125,7 +125,7 @@ def revar_two_piece_grid(sample: WeightedSample, config: AggRecAdjConfig) -> np.
     rs = config.r_nodes()
     out = np.empty((betas.size, rs.size))
     for j, r in enumerate(rs):
-        _, zs, _, c = _ascending(x + (1.0 - r) * y, w)
+        _, zs, _, c = _ascending(x + (1.0 - r) * y, w, betas.max())
         out[:, j] = np.maximum(-zs[tail_index(c, betas)], var_alpha)
     return out
 

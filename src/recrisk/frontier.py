@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, TargetReturnInfeasible
-from .measures import avar_empirical, quantile_interval
+from .measures import avar_and_lower_quantile
 from .recovery import RecoveryFunction
 from .samples import (WeightedSample, _frozen, checked_weights, numbered_columns, read_table,
                       write_table)
@@ -127,11 +127,11 @@ def minimax_check(problem: PortfolioProblem, x) -> MinimaxResult:
     v_star = math.nan
     for i, (r_i, alpha_i) in enumerate(pieces):
         w_vals = problem.returns @ x - r_i * problem.liability_fraction
-        v_i = quantile_interval(w_vals, problem.weights, alpha_i)[0]
+        tail_average, v_i = avar_and_lower_quantile(w_vals, problem.weights, alpha_i)
         inner = psi(problem, i, x, v_i)
         if inner > lhs:
             lhs, v_star = inner, v_i
-        rhs = max(rhs, avar_empirical(w_vals, problem.weights, alpha_i))
+        rhs = max(rhs, tail_average)
     gap = abs(rhs - lhs)
     if gap > MINIMAX_TOL:
         raise NumericalError(f"minimax gap {gap:.3e} exceeds {MINIMAX_TOL:.1e}")

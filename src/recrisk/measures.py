@@ -40,10 +40,30 @@ _DUAL_LEVEL_SLACK = 1e-12
 LEVEL_EPS = 1e-12
 
 
-def _ascending(values: np.ndarray, weights: np.ndarray):
-    """The tail kernel: stable ascending order of ``values`` (ties resolve by
-    scenario index), the sorted values, the sorted weights and their
-    cumulative sum.  Every quantile, tail average and tail weight reads it."""
+def _ascending(values: np.ndarray, weights: np.ndarray, level: float):
+    """The tail kernel: the ascending prefix of ``values`` whose cumulative
+    weight exceeds ``level + LEVEL_EPS``, the largest level the caller reads,
+    as its stable order (ties resolve by scenario index), the sorted values,
+    the sorted weights and their cumulative sum.  Every quantile, tail average
+    and tail weight reads it.
+
+    The prefix is found by selection (Floyd & Rivest 1975): the k-th smallest
+    value ``t``, every scenario ``<= t`` (all ties of ``t`` included, in index
+    order) stable-sorted, and k grown fourfold until the prefix carries enough
+    weight.  That set is exactly the head of the full stable sort, and
+    ``cumsum`` adds in the same order, so every entry equals the full sort's
+    bit for bit.  The full sort remains the last step once k reaches M."""
+    n = values.size
+    k = max(16, int(2.0 * level * n) + 1)
+    while k < n:
+        t = np.partition(values, k - 1)[k - 1]
+        idx = np.flatnonzero(values <= t)
+        order = idx[np.argsort(values[idx], kind="stable")]
+        ws = weights[order]
+        c = np.cumsum(ws)
+        if c[-1] > level + LEVEL_EPS:
+            return order, values[order], ws, c
+        k *= 4
     order = np.argsort(values, kind="stable")
     ws = weights[order]
     return order, values[order], ws, np.cumsum(ws)
@@ -57,19 +77,10 @@ def tail_index(cumweights: np.ndarray, alpha):
     return np.minimum(m, cumweights.size - 1)
 
 
-def quantile_interval(values: np.ndarray, weights: np.ndarray,
-                      alpha: float) -> tuple[float, float]:
-    """Lower and upper ``alpha``-quantiles of a weighted sample: the first
-    sorted values whose cumulative weight reaches, and exceeds, ``alpha``."""
-    _, vs, _, c = _ascending(values, weights)
-    lo = min(int(np.searchsorted(c, alpha - LEVEL_EPS, side="left")), vs.size - 1)
-    return float(vs[lo]), float(vs[tail_index(c, alpha)])
-
-
 def tail_weights(values: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndarray:
     """Scenario weights of the exact ``alpha``-tail of ``values``, with a
     fractional weight on the marginal scenario; they sum to ``alpha``."""
-    order, _, ws, c = _ascending(values, weights)
+    order, _, ws, c = _ascending(values, weights, alpha)
     m = tail_index(c, alpha)
     tail = np.zeros_like(weights)
     tail[order[:m]] = ws[:m]
@@ -97,20 +108,28 @@ def _check_level(alpha: float) -> float:
 def var_empirical(values, weights, alpha: float) -> float:
     """VaR at level ``alpha`` of a weighted discrete distribution."""
     alpha = _check_level(alpha)
-    _, vs, _, c = _ascending(*_prepare(values, weights))
+    _, vs, _, c = _ascending(*_prepare(values, weights), alpha)
     return float(-vs[tail_index(c, alpha)])
+
+
+def avar_and_lower_quantile(values, weights, alpha: float) -> tuple[float, float]:
+    """AVaR at level ``alpha`` and the lower ``alpha``-quantile (the first
+    sorted value whose cumulative weight reaches ``alpha``, where the tail
+    average's variational form attains its minimum), from one kernel call."""
+    alpha = _check_level(alpha)
+    _, vs, ws, c = _ascending(*_prepare(values, weights), alpha)
+    m = tail_index(c, alpha)
+    head = float(np.dot(ws[:m], -vs[:m])) if m > 0 else 0.0
+    c_prev = float(c[m - 1]) if m > 0 else 0.0
+    tail = max(alpha - c_prev, 0.0) * float(-vs[m])
+    lower = min(int(np.searchsorted(c, alpha - LEVEL_EPS, side="left")), vs.size - 1)
+    return (head + tail) / alpha, float(vs[lower])
 
 
 def avar_empirical(values, weights, alpha: float) -> float:
     """AVaR (expected shortfall) at level ``alpha``: exact tail average with a
     fractional weight on the marginal scenario."""
-    alpha = _check_level(alpha)
-    _, vs, ws, c = _ascending(*_prepare(values, weights))
-    m = tail_index(c, alpha)
-    head = float(np.dot(ws[:m], -vs[:m])) if m > 0 else 0.0
-    c_prev = float(c[m - 1]) if m > 0 else 0.0
-    tail = max(alpha - c_prev, 0.0) * float(-vs[m])
-    return (head + tail) / alpha
+    return avar_and_lower_quantile(values, weights, alpha)[0]
 
 
 @dataclass(frozen=True)

@@ -107,10 +107,16 @@ def xy_columns(cols: list[str]) -> tuple[int | None, int | None]:
 
 
 def numbered_columns(cols: list[str], prefix: str) -> list[int]:
-    """Positions of the columns ``<prefix>1, <prefix>2, ...`` in number order,
-    wherever they sit in ``cols``."""
-    return sorted((j for j, c in enumerate(cols) if c.startswith(prefix)),
-                  key=lambda j: int(cols[j][len(prefix):]))
+    """Positions of the columns ``<prefix>1 .. <prefix>K`` in number order,
+    wherever they sit in ``cols``.  The K columns carrying the prefix must be
+    exactly those, once each: a gap, a repeat or a non-number is an error."""
+    names = [c for c in cols if c.startswith(prefix)]
+    wanted = [f"{prefix}{k}" for k in range(1, len(names) + 1)]
+    if sorted(names) != sorted(wanted):
+        odd = [c for c in dict.fromkeys(names) if c not in wanted or names.count(c) > 1]
+        raise ValueError(f"{prefix} columns must be {prefix}1..{prefix}{len(names)} once each; "
+                         f"got {', '.join(odd)}")
+    return [cols.index(c) for c in wanted]
 
 
 def read_table(path_or_buffer, what: str) -> tuple[list[str], np.ndarray, np.ndarray | None]:
@@ -136,12 +142,18 @@ def read_table(path_or_buffer, what: str) -> tuple[list[str], np.ndarray, np.nda
     if len(rows) == 1:
         raise ValueError(f"{what} has a header but no rows")
     try:
-        data = np.asarray([[float(p) for p in ln.split(",")] for ln in rows[1:]], dtype=float)
+        data = _parse_rows(rows[1:])
     except ValueError:
         data = None
     if data is None or data.shape[1] != len(cols):
         raise ValueError(f"{what} {_first_bad_row(text, len(cols))}")
     return cols, data, data[:, cols.index("weight")] if "weight" in cols else None
+
+
+def _parse_rows(rows: list[str]) -> np.ndarray:
+    """The (rows, fields) floats of comma-separated lines, parsed straight
+    into one array (no Python float per field)."""
+    return np.loadtxt(rows, delimiter=",", dtype=float, ndmin=2, comments=None)
 
 
 def _first_bad_row(text: str, width: int) -> str:
@@ -155,7 +167,7 @@ def _first_bad_row(text: str, width: int) -> str:
             return f"line {n} has {len(fields)} fields, the header has {width}"
         for field in fields:
             try:
-                float(field)
+                _parse_rows([field])
             except ValueError:
                 return f"line {n}: {field.strip()!r} is not a number"
     return "has malformed rows"

@@ -302,9 +302,10 @@ def extremal_construction(config: ExtremalSearchConfig, e0: float,
     """Construct a peaked balance sheet attaining recovery adjustment s_max.
 
     VaR regime: any two-piece level function works; the body scale defaults
-    to the 10 * e0 anchor, the asset value sits at the binding solvency-ratio
-    boundary, and (b, c) solve r * q_beta(b, c) = k with b midway between its
-    admissible endpoints.
+    to the 10 * e0 anchor (``anchor_a`` overrides it, in this regime only),
+    the asset value sits at the binding solvency-ratio boundary, and (b, c)
+    solve r * q_beta(b, c) = k with b midway between its admissible
+    endpoints.
 
     AVaR regime: feasible only for beta >= alpha/2 and r inside
     :func:`avar_feasible_r_interval`; b is taken at half its cap, c at the
@@ -315,6 +316,9 @@ def extremal_construction(config: ExtremalSearchConfig, e0: float,
         raise ValueError(f"e0 must be positive and finite, got {e0!r}")
     if anchor_a is not None and not (0.0 < anchor_a < math.inf):
         raise ValueError(f"anchor_a must be positive and finite, got {anchor_a!r}")
+    if anchor_a is not None and config.regime != "var":
+        raise ValueError("anchor_a applies only to the VaR regime; the AVaR regime "
+                         "takes the body scale from its binding solvency-ratio constraint")
     t_cap = (config.s_max - 1.0) / config.s_max * e0
     alpha, beta, r = config.alpha, config.beta, config.r
 

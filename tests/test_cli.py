@@ -181,11 +181,28 @@ def run_with_table(tmp_path, capsys, command, text):
 @pytest.mark.parametrize("bad_row, message", [
     ("0.5,1.0", "line 4 has 2 fields, the header has 3"),
     ("0.5,abc,2.0", "line 4: 'abc' is not a number"),
-], ids=["ragged", "non-numeric"])
+    ("0.5,1_0,2.0", "line 4: '1_0' is not a number"),
+], ids=["ragged", "non-numeric", "digit-separator"])
 @pytest.mark.parametrize("command", sorted(BAD_ROW_ARGV))
 def test_malformed_row_names_its_line(tmp_path, capsys, command, bad_row, message):
     text = f"# comment\n{BAD_ROW_HEADER[command]}\n0.5,1.0,2.0\n{bad_row}\n"
     code, err = run_with_table(tmp_path, capsys, command, text)
+    assert code == 1
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, header, message", [
+    ("frontier", "R_1,R_3,Z", "R_ columns must be R_1..R_2 once each; got R_3"),
+    ("frontier", "R_1,R_a,Z", "R_ columns must be R_1..R_2 once each; got R_a"),
+    ("frontier", "R_2,R_2,Z", "R_ columns must be R_1..R_2 once each; got R_2"),
+    ("allocate", "dE_1,dE_3,L_1", "dE_ columns must be dE_1..dE_2 once each; got dE_3"),
+    ("allocate", "dE_1,L_1,L_x", "L_ columns must be L_1..L_2 once each; got L_x"),
+], ids=["frontier-gap", "frontier-not-a-number", "frontier-repeat", "allocate-dE-gap",
+        "allocate-L-not-a-number"])
+def test_numbered_columns_must_run_from_one(tmp_path, capsys, command, header, message):
+    code, err = run_with_table(tmp_path, capsys, command,
+                               f"{header}\n0.01,0.02,0.5\n0.03,0.01,0.7\n")
     assert code == 1
     assert message in err
     assert "Traceback" not in err
@@ -254,6 +271,16 @@ def test_non_finite_input_exits_one(tmp_path, capsys, argv, message):
     assert message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_extremal_anchor_outside_the_var_regime_exits_one(tmp_path, capsys):
+    argv = ["stress", "extremal", "--E0", "6", "--regime", "avar", "--r", "0.72",
+            "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    assert main(argv + ["--anchor-a", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "anchor_a applies only to the VaR regime" in err
+    assert "Traceback" not in err
 
 
 def two_piece_scenarios(tmp_path):

@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import tail_reference as ref
 from recrisk import measures
@@ -89,9 +89,10 @@ def test_var_and_avar_match_reference(case):
 
 @settings(max_examples=300, deadline=None)
 @given(tied_values())
-def test_quantile_interval_matches_reference(case):
+def test_avar_and_lower_quantile_match_reference(case):
     x, w, alpha = case
-    assert measures.quantile_interval(x, w, alpha) == ref.weighted_quantile_interval(x, w, alpha)
+    assert measures.avar_and_lower_quantile(x, w, alpha) == (
+        ref.avar_empirical(x, w, alpha), ref.weighted_quantile_interval(x, w, alpha)[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -125,6 +126,91 @@ def test_two_piece_grid_matches_reference(data):
                           ref.revar_two_piece_grid(sample, config))
 
 
+@st.composite
+def large_cases(draw):
+    """(x, y, weights, level) with 200 to 5,000 scenarios, enough for the
+    kernel to select a prefix rather than sort them all, and a level in the
+    lower tail.  Kinds: heavy ties (13 half-integer values, so ties span the
+    k-th value); a light head, where the smallest scenarios carry tiny weights
+    and k must grow; one scenario holding 90% of the weight; dyadic weights.
+    Half the levels are knife edges: a cumulative weight of the stable sort."""
+    m = draw(st.integers(min_value=200, max_value=5000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["ties", "light-head", "heavy-scenario", "dyadic"]))
+    x = rng.integers(-6, 7, m) / 2.0 if kind == "ties" else np.round(rng.normal(size=m), 2)
+    y = rng.integers(0, 5, m).astype(float)
+    raw = rng.uniform(0.05, 1.0, m) if draw(st.booleans()) else np.ones(m)
+    if kind == "light-head":
+        head = draw(st.integers(min_value=16, max_value=m // 2))
+        raw[np.argsort(x, kind="stable")[:head]] *= 1e-6
+    elif kind == "heavy-scenario":
+        j = draw(st.integers(min_value=0, max_value=m - 1))
+        raw[j] = 9.0 * (raw.sum() - raw[j])
+    elif kind == "dyadic":
+        raw = rng.integers(1, 7, m).astype(float)
+        denom = 1 << (int(raw.sum()) - 1).bit_length()
+        raw[-1] += denom - raw.sum()
+    w = raw / raw.sum()
+    if draw(st.booleans()):
+        c = np.cumsum(w[np.argsort(x, kind="stable")])
+        level = float(c[draw(st.integers(min_value=0, max_value=m // 20))])
+    else:
+        level = draw(st.floats(min_value=1e-3, max_value=0.05))
+    return x, y, w, level
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_cases())
+def test_selected_tail_matches_reference(case):
+    x, y, w, alpha = case
+    assume(alpha < 1.0)
+    assert measures.var_empirical(x, w, alpha) == ref.var_empirical(x, w, alpha)
+    assert measures.avar_and_lower_quantile(x, w, alpha) == (
+        ref.avar_empirical(x, w, alpha), ref.weighted_quantile_interval(x, w, alpha)[0])
+    assert np.array_equal(measures.tail_weights(x, w, alpha),
+                          ref._tail_weights(np.argsort(x, kind="stable"), w, alpha))
+    config = AggRecAdjConfig(beta_min=alpha / 4, beta_max=alpha / 2, r_min=0.5, r_max=0.9,
+                             n_beta=4, n_r=2, alpha=alpha)
+    sample = WeightedSample(x, y, w)
+    assert np.array_equal(revar_two_piece_grid(sample, config),
+                          ref.revar_two_piece_grid(sample, config))
+
+
+@settings(max_examples=100, deadline=None)
+@given(large_cases())
+def test_kernel_returns_the_head_of_the_full_stable_sort(case):
+    x, _, w, level = case
+    order, vs, ws, c = measures._ascending(x, w, level)
+    full = np.argsort(x, kind="stable")
+    n = order.size
+    assert np.array_equal(order, full[:n])
+    assert np.array_equal(vs, x[full][:n])
+    assert np.array_equal(ws, w[full][:n])
+    assert np.array_equal(c, np.cumsum(w[full])[:n])
+    assert n == x.size or c[-1] > level + measures.LEVEL_EPS
+
+
+def test_kernel_selects_and_grows_a_prefix_below_the_full_sort():
+    x = np.random.default_rng(5).normal(size=10_000)
+    uniform = np.full(x.size, 1.0 / x.size)
+    assert measures._ascending(x, uniform, 0.01)[0].size == 201
+    raw = np.ones(x.size)
+    raw[np.argsort(x, kind="stable")[:1000]] = 1e-6  # the first two rounds of k fall short
+    order = measures._ascending(x, raw / raw.sum(), 0.01)[0]
+    assert 1000 < order.size < x.size
+
+
+def test_kernel_prefix_clears_the_knife_edge_guard():
+    # The first 16 scenarios sum to 0.112 in exact arithmetic but to
+    # 0.11200000000000004 in floats: the prefix must grow past them, since the
+    # guard counts that sum as "<= 0.112" and the marginal scenario is the 17th.
+    x = np.arange(60.0)
+    w = np.concatenate([np.full(16, 0.007), np.full(44, 0.888 / 44)])
+    assert measures._ascending(x, w, 0.112)[3][-1] > 0.112 + measures.LEVEL_EPS
+    assert measures.var_empirical(x, w, 0.112) == ref.var_empirical(x, w, 0.112) == -16.0
+    assert measures.avar_empirical(x, w, 0.112) == ref.avar_empirical(x, w, 0.112)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_euler_allocation_matches_reference(data):
@@ -143,12 +229,13 @@ def test_euler_allocation_matches_reference(data):
 
 
 def test_only_measures_sorts_scenarios():
-    """The tail decision (sort order, tie order, knife-edge guard) lives in
-    ``measures`` alone; every other module reads it through the kernel."""
+    """The tail decision (selection, sort order, tie order, knife-edge guard)
+    lives in ``measures`` alone; every other module reads it through the
+    kernel."""
     offenders = [f"{path.name}:{n}: {line.strip()}"
                  for path in sorted(SRC.glob("*.py")) if path.name != "measures.py"
                  for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-                 if re.search(r"\b(argsort|cumsum|LEVEL_EPS)\b", line)]
+                 if re.search(r"\b(argsort|cumsum|LEVEL_EPS)\b|\b(arg)?partition\(", line)]
     assert offenders == []
 
 
