@@ -1,4 +1,4 @@
-"""Dense two-phase simplex with a deterministic anti-cycling pivot rule.
+"""Two-phase tableau simplex with a deterministic anti-cycling pivot rule.
 
 The solver accepts a general-form linear program (minimize c @ x subject to
 A_ub @ x <= b_ub, A_eq @ x = b_eq, elementwise bounds with infinities
@@ -7,6 +7,21 @@ entering rule is Dantzig's most-negative reduced cost with lowest-index tie
 breaking; after a run of degenerate pivots it switches permanently to Bland's
 rule, which guarantees termination.  Scales to desk-size problems (a few
 thousand columns); the tableau is dense.
+
+Storage and update rule: the tableaux are column-major (``order="F"``), so a
+pivot column is contiguous.  A pivot divides the pivot row by its pivot
+element, then subtracts ``row[j] * factors`` from column j only where the
+divided row is nonzero (pivot rows are sparse, pivot columns dense), plus the
+right-hand-side column always.  Each updated element gets the same product
+and the same subtraction as the dense rank-1 update ``tableau -=
+np.outer(factors, row)``; a skipped element would only have had a zero
+subtracted, which can change nothing but the sign of a zero.  The
+right-hand-side column, the only one read back into x, therefore matches the
+dense update bit for bit (it never holds -0.0).  Invariant: the update and
+every reduction (the phase-1 cost row, the bound shift, the phase-2 pricing)
+keep the dense code's per-element arithmetic and summation order; no BLAS
+call (``@``, ``np.dot``) touches the tableau, since blocking or fused
+multiply-add would change last digits.
 """
 
 from __future__ import annotations
@@ -27,7 +42,11 @@ _DEGENERATE_STREAK = 12
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """minimize objective @ x  s.t.  a_ub @ x <= b_ub, a_eq @ x = b_eq, lower <= x <= upper."""
+    """minimize objective @ x  s.t.  a_ub @ x <= b_ub, a_eq @ x = b_eq, lower <= x <= upper.
+
+    Every coefficient and right-hand side must be finite; a lower bound may
+    be -inf and an upper bound +inf, never the other side's infinity or NaN.
+    """
 
     objective: np.ndarray
     a_ub: np.ndarray
@@ -50,11 +69,18 @@ class LinearProgram:
             raise ValueError("constraint matrix and right-hand side sizes disagree")
         if lower.size != n or upper.size != n:
             raise ValueError("bounds must match the number of variables")
+        fields = (("objective", c), ("a_ub", a_ub), ("b_ub", b_ub),
+                  ("a_eq", a_eq), ("b_eq", b_eq))
+        for name, arr in fields:
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+        if np.any(np.isnan(lower) | (lower == np.inf)):
+            raise ValueError("lower must be finite or -inf")
+        if np.any(np.isnan(upper) | (upper == -np.inf)):
+            raise ValueError("upper must be finite or +inf")
         if np.any(lower > upper):
             raise ValueError("lower bounds exceed upper bounds")
-        for name, arr in (("objective", c), ("a_ub", a_ub), ("b_ub", b_ub),
-                          ("a_eq", a_eq), ("b_eq", b_eq), ("lower", lower),
-                          ("upper", upper)):
+        for name, arr in fields + (("lower", lower), ("upper", upper)):
             object.__setattr__(self, name, arr)
 
     @property
@@ -75,7 +101,8 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    cols = np.append(np.flatnonzero(tableau[row, :-1]), tableau.shape[1] - 1)
+    tableau.T[cols] -= np.multiply.outer(tableau[row, cols], factors)
 
 
 def _run_simplex(tableau: np.ndarray, basis: list[int], n_cols: int,
@@ -128,99 +155,58 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     lower, upper = lp.lower, lp.upper
 
     # Standard-form variable mapping: each original variable becomes either a
-    # shifted nonnegative variable, a flipped one (only an upper bound), or a
-    # split pair (free).  Finite upper bounds on shifted variables become rows.
-    col_of: list[tuple] = []   # per original var: ("shift", col, lo) | ("flip", col, up) | ("free", col_pos, col_neg)
-    n_std = 0
-    extra_ub_rows: list[tuple[int, float]] = []  # (original var index, width)
-    for j in range(n):
-        lo, up = lower[j], upper[j]
-        if math.isfinite(lo):
-            col_of.append(("shift", n_std, lo))
-            n_std += 1
-            if math.isfinite(up):
-                extra_ub_rows.append((j, up - lo))
-        elif math.isfinite(up):
-            col_of.append(("flip", n_std, up))
-            n_std += 1
-        else:
-            col_of.append(("free", n_std, n_std + 1))
-            n_std += 2
+    # shifted nonnegative variable (finite lower bound), a flipped one (only
+    # an upper bound), or a split pair (free), numbered in variable order.
+    # Finite upper bounds on shifted variables become rows.
+    shifted = np.isfinite(lower)
+    flipped = ~shifted & np.isfinite(upper)
+    free = ~shifted & ~flipped
+    # first standard column of variable j: j plus one per free variable before it
+    col = np.arange(n) + np.searchsorted(np.flatnonzero(free), np.arange(n))
+    n_std = n + int(np.count_nonzero(free))
+    offset = np.where(shifted, lower, np.where(flipped, upper, 0.0))
+    boxed = np.flatnonzero(shifted & np.isfinite(upper))
 
-    def expand(coeffs: np.ndarray, rhs: float) -> tuple[np.ndarray, float]:
-        row = np.zeros(n_std)
-        shift = 0.0
-        for j in range(n):
-            cj = coeffs[j]
-            if cj == 0.0:
-                continue
-            kind = col_of[j]
-            if kind[0] == "shift":
-                row[kind[1]] += cj
-                shift += cj * kind[2]
-            elif kind[0] == "flip":
-                row[kind[1]] -= cj
-                shift += cj * kind[2]
-            else:
-                row[kind[1]] += cj
-                row[kind[2]] -= cj
-        return row, rhs - shift
+    def expand(coeffs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Each entry is ``0.0 + c`` or ``0.0 - c`` (a zero coefficient stays
+        # +0.0); the bound shift adds the terms in ascending variable order,
+        # and the skipped zero-offset terms would only have added a zero.
+        rows = np.zeros((coeffs.shape[0], n_std))
+        rows[:, col[~flipped]] = coeffs[:, ~flipped] + 0.0
+        rows[:, col[flipped]] = 0.0 - coeffs[:, flipped]
+        rows[:, col[free] + 1] = 0.0 - coeffs[:, free]
+        shift = np.zeros(coeffs.shape[0])
+        for j in np.flatnonzero(offset):
+            shift += coeffs[:, j] * offset[j]
+        return rows, rhs - shift
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    senses: list[str] = []
-    for i in range(lp.b_ub.size):
-        row, b = expand(lp.a_ub[i], float(lp.b_ub[i]))
-        rows.append(row)
-        rhs.append(b)
-        senses.append("<=")
-    for i in range(lp.b_eq.size):
-        row, b = expand(lp.a_eq[i], float(lp.b_eq[i]))
-        rows.append(row)
-        rhs.append(b)
-        senses.append("=")
-    for j, width in extra_ub_rows:
-        coeffs = np.zeros(n)
-        coeffs[j] = 1.0
-        row, b = expand(coeffs, lower[j] + width)
-        rows.append(row)
-        rhs.append(b)
-        senses.append("<=")
-
+    n_ub, n_eq, n_box = lp.b_ub.size, lp.b_eq.size, boxed.size
+    unit = np.zeros((n_box, n))
+    unit[np.arange(n_box), boxed] = 1.0
+    width = upper[boxed] - lower[boxed]
+    a, b = expand(np.vstack([lp.a_ub, lp.a_eq, unit]),
+                  np.concatenate([lp.b_ub, lp.b_eq, lower[boxed] + width]))
     # The affine shift of the objective is dropped here; the reported
     # objective is recomputed from the recovered x at the end.
-    obj_std, _ = expand(lp.objective, 0.0)
+    obj_std = expand(lp.objective[None, :], np.zeros(1))[0][0]
 
-    m = len(rows)
-    a = np.vstack(rows) if m else np.zeros((0, n_std))
-    b = np.asarray(rhs)
-
-    n_slack = sum(1 for s in senses if s == "<=")
-    total = n_std + n_slack + m  # slacks then one artificial per row
-    A = np.zeros((m, total))
-    A[:, :n_std] = a
-    si = 0
-    for i, s in enumerate(senses):
-        if s == "<=":
-            A[i, n_std + si] = 1.0
-            si += 1
-    neg = b < 0.0
-    A[neg] *= -1.0
-    b = np.abs(b)
+    m = n_ub + n_eq + n_box
+    n_slack = n_ub + n_box  # one slack per <= row, in row order
     art_base = n_std + n_slack
-    basis: list[int] = []
-    for i in range(m):
-        A[i, art_base + i] = 1.0
-        basis.append(art_base + i)
-
+    total = art_base + m  # slacks then one artificial per row
+    basis = list(range(art_base, total))
     max_iter = max_iter if max_iter is not None else max(2000, 60 * (m + total))
 
     # Phase 1: minimize the sum of artificials.
-    tableau = np.zeros((m + 1, total + 1))
-    tableau[:m, :total] = A
-    tableau[:m, -1] = b
-    tableau[-1, art_base:art_base + m] = 1.0
-    for i in range(m):
+    tableau = np.zeros((m + 1, total + 1), order="F")
+    tableau[:m, :n_std] = a
+    slack_rows = np.concatenate([np.arange(n_ub), n_ub + n_eq + np.arange(n_box)])
+    tableau[slack_rows, n_std + np.arange(n_slack)] = 1.0
+    tableau[np.flatnonzero(b < 0.0), :total] *= -1.0
+    tableau[:m, -1] = np.abs(b)
+    tableau[np.arange(m), art_base + np.arange(m)] = 1.0
+    tableau[-1, art_base:total] = 1.0
+    for i in range(m):  # sequential, not a pairwise sum
         tableau[-1] -= tableau[i]
     status, it1 = _run_simplex(tableau, basis, total, max_iter)
     if status == "Unbounded":  # cannot happen for a sum of nonnegatives
@@ -239,17 +225,14 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
                 basis[i] = int(candidates[0])
             else:
                 keep_rows.remove(i)
-    if len(keep_rows) != m:
-        rows_idx = keep_rows + [m]
-        tableau = tableau[rows_idx]
-        basis = [basis[i] for i in keep_rows]
-        m = len(keep_rows)
+    basis = [basis[i] for i in keep_rows]
+    m = len(keep_rows)
 
     # Phase 2 with the real objective over structural + slack columns.
     n_cols2 = art_base
-    t2 = np.zeros((m + 1, n_cols2 + 1))
-    t2[:m, :n_cols2] = tableau[:m, :n_cols2]
-    t2[:m, -1] = tableau[:m, -1]
+    t2 = np.zeros((m + 1, n_cols2 + 1), order="F")
+    t2[:m, :n_cols2] = tableau[keep_rows, :n_cols2]
+    t2[:m, -1] = tableau[keep_rows, -1]
     t2[-1, :n_std] = obj_std
     for i in range(m):
         if basis[i] < n_cols2:
@@ -264,14 +247,9 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
         if basis[i] < n_cols2:
             z[basis[i]] = t2[i, -1]
     x = np.empty(n)
-    for j in range(n):
-        kind = col_of[j]
-        if kind[0] == "shift":
-            x[j] = kind[2] + z[kind[1]]
-        elif kind[0] == "flip":
-            x[j] = kind[2] - z[kind[1]]
-        else:
-            x[j] = z[kind[1]] - z[kind[2]]
+    x[shifted] = lower[shifted] + z[col[shifted]]
+    x[flipped] = upper[flipped] - z[col[flipped]]
+    x[free] = z[col[free]] - z[col[free] + 1]
 
     residual = 0.0
     if lp.b_ub.size:

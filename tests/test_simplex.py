@@ -149,3 +149,25 @@ def test_iteration_cap_raises():
                  upper=np.full(20, 2.0))
     with pytest.raises(SolverStalled):
         solve_lp(lp, max_iter=2)
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("objective", dict(objective=[np.nan, 1.0])),
+    ("a_ub", dict(a_ub=[[np.nan, 1.0]])),
+    ("a_ub", dict(a_ub=[[np.inf, 1.0]])),
+    ("b_ub", dict(b_ub=[np.nan])),
+    ("a_eq", dict(a_eq=[[1.0, -np.inf]], b_eq=[1.0])),
+    ("b_eq", dict(a_eq=[[1.0, 1.0]], b_eq=[np.inf])),
+    ("lower", dict(lower=[np.inf, 0.0])),
+    ("lower", dict(lower=[np.nan, 0.0])),
+    ("upper", dict(upper=[-np.inf, 1.0])),
+    ("upper", dict(upper=[np.nan, 1.0])),
+])
+def test_non_finite_input_is_rejected(field, kwargs):
+    # each of these used to stall, report a phase-1 failure, report
+    # Unbounded, or (a NaN upper bound) be ignored and solve as Optimal
+    args = dict(objective=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[2.0])
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        make_lp(**args)
+
