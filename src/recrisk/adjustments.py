@@ -44,10 +44,6 @@ class RegulatoryRegime:
     def swiss_solvency_test(cls) -> "RegulatoryRegime":
         return cls("SwissSolvencyTest", 0.01, "avar")
 
-    @classmethod
-    def custom(cls, level: float, measure: str) -> "RegulatoryRegime":
-        return cls("Custom", level, measure)
-
 
 def parse_regime(token: str) -> RegulatoryRegime:
     token = token.strip().lower()
@@ -130,23 +126,31 @@ def revar_two_piece_grid(sample: WeightedSample, config: AggRecAdjConfig) -> np.
     return out
 
 
+def regime_adjustments(sample: WeightedSample, config: AggRecAdjConfig,
+                       regimes) -> list[tuple[float, float, float]]:
+    """Aggregate recovery adjustment of each regime over the (beta, r) rectangle.
+
+    Returns one (capital, integral, mean) per regime, in order: the regime's
+    capital requirement, the midpoint-rule tensor quadrature of
+    RecAdj(beta, r) and its range-normalised average.  Every capital is
+    checked before the ReVaR grid is built once for all regimes.
+    """
+    caps = [regulatory_capital(sample, regime) for regime in regimes]
+    for cap in caps:
+        if cap <= 0.0:
+            raise DenominatorNotPositive(f"regulatory capital must be positive for the "
+                                         f"aggregate adjustment, got {cap!r}")
+    grid = revar_two_piece_grid(sample, config)
+    area = (config.beta_max - config.beta_min) * (config.r_max - config.r_min)
+    means = [float(np.mean(np.maximum(grid / cap, 1.0))) for cap in caps]
+    return [(cap, mean * area, mean) for cap, mean in zip(caps, means)]
+
+
 def agg_rec_adj(sample: WeightedSample, config: AggRecAdjConfig,
                 regime: RegulatoryRegime) -> tuple[float, float]:
-    """Aggregate recovery adjustment over the (beta, r) rectangle.
-
-    Returns (integral, mean): the midpoint-rule tensor quadrature of
-    RecAdj(beta, r) and its range-normalised average.
-    """
-    denom = regulatory_capital(sample, regime)
-    if denom <= 0.0:
-        raise DenominatorNotPositive(
-            f"regulatory capital must be positive for the aggregate adjustment, got {denom!r}"
-        )
-    grid = revar_two_piece_grid(sample, config)
-    adj = np.maximum(grid / denom, 1.0)
-    mean = float(np.mean(adj))
-    area = (config.beta_max - config.beta_min) * (config.r_max - config.r_min)
-    return mean * area, mean
+    """(integral, mean) of :func:`regime_adjustments` for one regime."""
+    [(_, integral, mean)] = regime_adjustments(sample, config, [regime])
+    return integral, mean
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,7 @@ class SweepRow:
 
 def case_study_sweep(model: BalanceSheetModel, rho_grid, tau_grid,
                      regimes, m: int, seed: int,
-                     config: AggRecAdjConfig | None = None,
+                     config: AggRecAdjConfig = AggRecAdjConfig(),
                      workers: int = 1) -> list[SweepRow]:
     """Evaluate the balance-sheet case study over a (rho, tau) grid.
 
@@ -179,34 +183,25 @@ def case_study_sweep(model: BalanceSheetModel, rho_grid, tau_grid,
     regimes = list(regimes)
     if not rho_grid or not tau_grid or not regimes:
         raise ValueError("sweep grids and regime list must be non-empty")
-    if config is None:
-        config = AggRecAdjConfig()
     e0 = model.initial_net_asset_value
-    area = (config.beta_max - config.beta_min) * (config.r_max - config.r_min)
 
     def evaluate_cell(rho: float, tau: float) -> list[SweepRow]:
         cell = model.with_params(copula_correlation=rho, tail_shape=tau)
         sample = sample_scenarios(cell, m, seed).sample
         lp = loss_probability(sample)
-        grid = revar_two_piece_grid(sample, config)
-        out = []
-        for regime in regimes:
-            cap = regulatory_capital(sample, regime)
-            if cap <= 0.0:
-                raise DenominatorNotPositive(
-                    f"regulatory capital non-positive at rho={rho}, tau={tau}"
-                )
-            mean = float(np.mean(np.maximum(grid / cap, 1.0)))
-            out.append(SweepRow(
-                rho=rho, tau=tau, regime=regime.kind,
-                loss_prob=lp,
-                reg_capital=cap,
-                reg_measure_e1=cap - e0,  # cash invariance: rho_reg(E1) = rho_reg(dE1) - E0
-                solvency_ratio=e0 / cap,
-                agg_rec_adj_integral=mean * area,
-                agg_rec_adj_mean=mean,
-            ))
-        return out
+        try:
+            adjusted = regime_adjustments(sample, config, regimes)
+        except DenominatorNotPositive as exc:
+            raise DenominatorNotPositive(f"{exc} at rho={rho}, tau={tau}") from None
+        return [SweepRow(
+            rho=rho, tau=tau, regime=regime.kind,
+            loss_prob=lp,
+            reg_capital=cap,
+            reg_measure_e1=cap - e0,  # cash invariance: rho_reg(E1) = rho_reg(dE1) - E0
+            solvency_ratio=e0 / cap,
+            agg_rec_adj_integral=integral,
+            agg_rec_adj_mean=mean,
+        ) for regime, (cap, integral, mean) in zip(regimes, adjusted)]
 
     cells = [(rho, tau) for rho in rho_grid for tau in tau_grid]
     if workers > 1:

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 DEFAULT_GAP_TOL = 1e-3
+PROPERTY_STEPS = (1e-3, 1e-2)  # growth steps of the RoRaC compatibility probe, smallest first
 
 
 @dataclass(frozen=True)
@@ -142,18 +143,17 @@ class AllocationPropertyReport:
     rorac_compatibility: tuple[str, ...]  # per division: consistent / inconsistent / inconclusive / not_applicable
 
 
-def allocation_property_check(sample: DivisionalSample, gamma: RecoveryFunction,
-                              h_list=(1e-3, 1e-2),
-                              gap_tol: float = DEFAULT_GAP_TOL) -> AllocationPropertyReport:
+def allocation_property_check(sample: DivisionalSample,
+                              gamma: RecoveryFunction) -> AllocationPropertyReport:
     """Verify full allocation, diversification, and directional RoRaC compatibility.
 
-    RoRaC compatibility is probed by finite growth steps: for each division
-    whose RoRaC differs from the aggregate, the smallest supplied step that
-    keeps the binding piece unchanged must move the aggregate RoRaC in the
-    same direction.  A division is inconclusive when every step flips the
+    RoRaC compatibility is probed by the growth steps ``PROPERTY_STEPS``: for
+    each division whose RoRaC differs from the aggregate, the smallest step
+    that keeps the binding piece unchanged must move the aggregate RoRaC in
+    the same direction.  A division is inconclusive when every step flips the
     binding piece.
     """
-    result = euler_allocation(sample, gamma, gap_tol)
+    result = euler_allocation(sample, gamma)
     agg = sample.aggregate()
     full_err = abs(result.full_allocation_gap)
 
@@ -173,7 +173,7 @@ def allocation_property_check(sample: DivisionalSample, gamma: RecoveryFunction,
             statuses.append("not_applicable")
             continue
         status = "inconclusive"
-        for h in sorted(h_list):
+        for h in PROPERTY_STEPS:
             grown = WeightedSample(agg.x + h * sample.de[:, i],
                                    agg.y + h * sample.liabilities[:, i],
                                    sample.weights)

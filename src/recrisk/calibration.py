@@ -26,6 +26,13 @@ __all__ = [
     "normal_var", "calibrate_gamma", "discretize_gamma", "verify_calibration",
 ]
 
+NEGATIVITY_TOL = 1e-4  # largest P(L < 0) the normal liability benchmark takes without a warning
+N_LAMBDA = 101         # fractions on each analytic check grid of verify_calibration
+MC_GRID = 101          # fractions on the Monte Carlo supremum grid
+MIN_TAIL = 50          # fewest expected tail scenarios for a trustworthy empirical quantile
+ANALYTIC_TOL = 1e-8    # CalibrationReport.passed: identity residual bound
+MC_REL_TOL = 0.02      # CalibrationReport.passed: Monte Carlo relative error bound
+
 
 @dataclass(frozen=True)
 class CalibrationInput:
@@ -34,7 +41,6 @@ class CalibrationInput:
     mean_l: float
     sd_l: float
     alpha: float
-    negativity_tol: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.sd_de <= 0.0 or self.sd_l <= 0.0:
@@ -44,10 +50,10 @@ class CalibrationInput:
         if not (0.0 < self.alpha < 0.5):
             raise ValueError("alpha must lie in (0, 0.5)")
         p_neg = float(normal_cdf(-self.mean_l / self.sd_l))
-        if p_neg > self.negativity_tol:
+        if p_neg > NEGATIVITY_TOL:
             warnings.warn(
                 f"P(L < 0) = {p_neg:.3g} exceeds the negativity tolerance "
-                f"{self.negativity_tol:.3g}; the normal liability benchmark is strained",
+                f"{NEGATIVITY_TOL:.3g}; the normal liability benchmark is strained",
                 stacklevel=2,
             )
 
@@ -137,15 +143,14 @@ class CalibrationReport:
     mc_value: float
     mc_rel_err: float
 
-    def passed(self, analytic_tol: float = 1e-8, mc_rel_tol: float = 0.02) -> bool:
-        return (self.analytic_max_abs_err <= analytic_tol
+    def passed(self) -> bool:
+        return (self.analytic_max_abs_err <= ANALYTIC_TOL
                 and self.repaired_region_conservative
-                and self.mc_rel_err <= mc_rel_tol)
+                and self.mc_rel_err <= MC_REL_TOL)
 
 
 def verify_calibration(inp: CalibrationInput, gamma: CalibratedGamma,
-                       m: int, seed: int, n_lambda: int = 101,
-                       mc_grid: int = 101, min_tail: int = 50) -> CalibrationReport:
+                       m: int, seed: int) -> CalibrationReport:
     """Check the calibration identity analytically and by Monte Carlo.
 
     The Monte Carlo recovery VaR equals the regulatory VaR only when the
@@ -154,7 +159,7 @@ def verify_calibration(inp: CalibrationInput, gamma: CalibratedGamma,
     reflects that overshoot.
 
     The Monte Carlo supremum grid keeps only fractions whose level puts at
-    least ``min_tail`` expected scenarios in the tail: below that the
+    least ``MIN_TAIL`` expected scenarios in the tail: below that the
     empirical quantile degenerates to the sample minimum, whose noise is
     extreme-value distributed.  Under the calibration identity every
     fraction carries the same true value, so the restriction does not move
@@ -162,7 +167,7 @@ def verify_calibration(inp: CalibrationInput, gamma: CalibratedGamma,
     """
     target = normal_var(inp.mean_de, inp.sd_de, inp.alpha)
 
-    lams = np.linspace(gamma.lambda_star, 1.0, n_lambda)
+    lams = np.linspace(gamma.lambda_star, 1.0, N_LAMBDA)
     vals = np.array([
         normal_var(inp.mean_de + (1.0 - lam) * inp.mean_l,
                    math.hypot(inp.sd_de, (1.0 - lam) * inp.sd_l),
@@ -173,7 +178,7 @@ def verify_calibration(inp: CalibrationInput, gamma: CalibratedGamma,
 
     repaired_ok = True
     if gamma.lambda_star > 0.0:
-        rep = np.linspace(0.0, gamma.lambda_star, n_lambda, endpoint=False)
+        rep = np.linspace(0.0, gamma.lambda_star, N_LAMBDA, endpoint=False)
         rep_vals = np.array([
             normal_var(inp.mean_de + (1.0 - lam) * inp.mean_l,
                        math.hypot(inp.sd_de, (1.0 - lam) * inp.sd_l),
@@ -186,8 +191,8 @@ def verify_calibration(inp: CalibrationInput, gamma: CalibratedGamma,
     de = inp.mean_de + inp.sd_de * ndtri(u[0::2])
     liab = inp.mean_l + inp.sd_l * ndtri(u[1::2])
     sample = WeightedSample(de, liab, None)
-    level_floor = min_tail / m
-    mc_lams = [lam for lam in np.linspace(0.0, 1.0, mc_grid)
+    level_floor = MIN_TAIL / m
+    mc_lams = [lam for lam in np.linspace(0.0, 1.0, MC_GRID)
                if float(gamma(lam)) >= level_floor]
     if not mc_lams:
         mc_lams = [1.0]

@@ -9,6 +9,7 @@ cleanly.  Exit codes: 0 success, 1 validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -110,7 +111,7 @@ def _cmd_measure(args) -> int:
             ev = (measures.revar_pieces if name == "revar" else measures.reavar_pieces)(sample, gamma)
             out.update(value=ev.value, binding_fraction=ev.binding_fraction,
                        binding_level=ev.binding_level)
-        elif name in ("lrevar", "lreavar"):
+        else:  # lrevar, lreavar
             if assets is not None:
                 asset_values = assets
             elif args.E0 is not None:
@@ -120,8 +121,6 @@ def _cmd_measure(args) -> int:
             lsample = type(sample)(asset_values, sample.y, sample.weights)
             fn = measures.l_revar if name == "lrevar" else measures.l_reavar
             out["value"] = fn(lsample, gamma, args.n_lambda)
-        else:
-            raise ValueError(f"unknown measure {name!r}")
     _emit_json(out, args.out)
     return EXIT_OK
 
@@ -132,25 +131,18 @@ def _cmd_recadj(args) -> int:
         r_min=parse_level(args.r_min), r_max=parse_level(args.r_max),
         n_beta=args.n_beta, n_r=args.n_r, alpha=parse_level(args.alpha),
     )
+    regimes = [adjustments.parse_regime(tok) for tok in args.regime.split(",")]
     if args.action == "eval":
         if args.scenarios is None:
             raise ValueError("recadj eval needs --scenarios")
         sample, _ = read_scenario_csv(args.scenarios)
-        payload = {}
-        for tok in args.regime.split(","):
-            regime = adjustments.parse_regime(tok)
-            integral, mean = adjustments.agg_rec_adj(sample, config, regime)
-            payload[regime.kind] = {
-                "reg_capital": adjustments.regulatory_capital(sample, regime),
-                "agg_rec_adj_integral": integral,
-                "agg_rec_adj_mean": mean,
-            }
+        adjusted = adjustments.regime_adjustments(sample, config, regimes)
+        payload = {regime.kind: {"reg_capital": cap, "agg_rec_adj_integral": integral,
+                                 "agg_rec_adj_mean": mean}
+                   for regime, (cap, integral, mean) in zip(regimes, adjusted)}
         _emit_json(payload, args.out)
         return EXIT_OK
-    if args.action != "sweep":
-        raise ValueError("recadj supports the 'sweep' and 'eval' actions")
     model = _load_model(args.model)
-    regimes = [adjustments.parse_regime(tok) for tok in args.regime.split(",")]
     if args.rho is None or args.tau is None or args.M is None or args.seed is None:
         raise ValueError("recadj sweep needs --rho, --tau, --M, and --seed")
     rows = adjustments.case_study_sweep(model, parse_grid(args.rho), parse_grid(args.tau),
@@ -180,26 +172,19 @@ def _cmd_stress(args) -> int:
                                                  if req > 0 else None)
         _emit_json(payload, args.out)
         return EXIT_OK
-    if args.action == "extremal":
-        config = stress.ExtremalSearchConfig(
-            s_min=args.smin, s_max=args.smax, regime=args.regime,
-            beta=parse_level(args.beta), r=args.r, alpha=parse_level(args.alpha),
-        )
-        witness = stress.extremal_construction(config, args.E0, anchor_a=args.anchor_a)
-        payload = {
-            "model": {
-                "a": witness.model.a, "b": witness.model.b, "c": witness.model.c,
-                "asset_value": witness.model.asset_value,
-                "initial_capital": witness.model.initial_capital,
-                "tail_mass": witness.model.tail_mass,
-            },
-            "achieved_adjustment": witness.achieved_adjustment,
-            "constraints": {c.name: c.satisfied for c in witness.constraints},
-            "loss_probability": witness.loss_probability,
-        }
-        _emit_json(payload, args.out)
-        return EXIT_OK
-    raise ValueError("stress supports the 'peaked' and 'extremal' actions")
+    config = stress.ExtremalSearchConfig(
+        s_min=args.smin, s_max=args.smax, regime=args.regime,
+        beta=parse_level(args.beta), r=args.r, alpha=parse_level(args.alpha),
+    )
+    witness = stress.extremal_construction(config, args.E0, anchor_a=args.anchor_a)
+    payload = {
+        "model": dataclasses.asdict(witness.model),
+        "achieved_adjustment": witness.achieved_adjustment,
+        "constraints": {c.name: c.satisfied for c in witness.constraints},
+        "loss_probability": witness.loss_probability,
+    }
+    _emit_json(payload, args.out)
+    return EXIT_OK
 
 
 def _cmd_calibrate(args) -> int:

@@ -151,32 +151,23 @@ def build_lp(problem: PortfolioProblem) -> LinearProgram:
     """
     m_sc = problem.n_scenarios
     k = problem.n_assets
-    pieces = problem.gamma.pieces()
-    p = len(pieces)
+    r, alpha = np.array(problem.gamma.pieces()).T
+    p = r.size
     n_var = k + p + 1 + p * m_sc
     idx_ups = k + p
+    # u_{i,m} is column idx_ups + 1 + j and its hinge row is p + j, j = i * M + m
+    j = np.arange(p * m_sc)
+    piece = j // m_sc
 
-    def v_index(i: int) -> int:
-        return k + i
-
-    def u_index(i: int, m: int) -> int:
-        return k + p + 1 + i * m_sc + m
-
-    n_ub = p + p * m_sc
-    a_ub = np.zeros((n_ub, n_var))
-    b_ub = np.zeros(n_ub)
-    for i, (r_i, alpha_i) in enumerate(pieces):
-        row = a_ub[i]
-        row[v_index(i)] = -1.0
-        row[idx_ups] = -1.0
-        row[u_index(i, 0):u_index(i, m_sc - 1) + 1] = problem.weights / alpha_i
-    for i, (r_i, alpha_i) in enumerate(pieces):
-        for m in range(m_sc):
-            row = a_ub[p + i * m_sc + m]
-            row[v_index(i)] = 1.0
-            row[:k] = -problem.returns[m]
-            row[u_index(i, m)] = -1.0
-            b_ub[p + i * m_sc + m] = -r_i * problem.liability_fraction[m]
+    a_ub = np.zeros((p + p * m_sc, n_var))
+    b_ub = np.zeros(p + p * m_sc)
+    a_ub[np.arange(p), k + np.arange(p)] = -1.0
+    a_ub[:p, idx_ups] = -1.0
+    a_ub[piece, idx_ups + 1 + j] = (problem.weights / alpha[:, None]).ravel()
+    a_ub[p + j, k + piece] = 1.0
+    a_ub[p:, :k] = np.tile(-problem.returns, (p, 1))
+    a_ub[p + j, idx_ups + 1 + j] = -1.0
+    b_ub[p:] = (-r[:, None] * problem.liability_fraction).ravel()
 
     means = problem.mean_returns()
     if problem.target_return is None:

@@ -28,6 +28,7 @@ from .recovery import RecoveryFunction
 from .samples import WeightedSample, checked_weights
 
 MONEY_TOL = 1e-9
+MAX_PAIR_ASSET = 1e12  # largest asset value min_recovery_pair builds
 
 # Relative slack when comparing levels against an inverse density bound;
 # absorbs roundoff at exact-equality dual optimizers.
@@ -294,7 +295,7 @@ def recovery_probability_curve(sample: WeightedSample, lam_grid,
     return out
 
 
-def min_recovery_pair(alpha: float, p: float, max_asset: float = 1e12) -> WeightedSample:
+def min_recovery_pair(alpha: float, p: float) -> WeightedSample:
     """Two-state (assets, liabilities) pair that passes the AVaR_alpha test
     with zero margin while every recovery probability equals 1 - p.
 
@@ -309,9 +310,9 @@ def min_recovery_pair(alpha: float, p: float, max_asset: float = 1e12) -> Weight
         raise ValueError("event probability must satisfy 0 < p < alpha")
     d = alpha - p
     t = p / d
-    if not math.isfinite(t) or t > max_asset:
+    if not math.isfinite(t) or t > MAX_PAIR_ASSET:
         raise ValueError(
-            f"asset value p/(alpha-p) = {t!r} exceeds the magnitude cap {max_asset!r}"
+            f"asset value p/(alpha-p) = {t!r} exceeds the magnitude cap {MAX_PAIR_ASSET!r}"
         )
     # Prefer an asset value whose product with (alpha - p) reproduces p exactly.
     best = t

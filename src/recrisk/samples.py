@@ -93,9 +93,6 @@ class WeightedSample:
     def mean_x(self) -> float:
         return float(np.dot(self.weights, self.x))
 
-    def mean_y(self) -> float:
-        return float(np.dot(self.weights, self.y))
-
 
 def _column(cols: list[str], aliases: tuple[str, ...]) -> int | None:
     return next((cols.index(name) for name in aliases if name in cols), None)

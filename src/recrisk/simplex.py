@@ -40,6 +40,16 @@ OPT_TOL = 1e-9
 _DEGENERATE_STREAK = 12
 
 
+def _constraint_matrix(name: str, a, n: int) -> np.ndarray:
+    """``a`` as a (rows, n) matrix; a size-0 input means no rows."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return a.reshape(0, n)
+    if a.ndim != 2 or a.shape[1] != n:
+        raise ValueError(f"{name} must be a 2-d matrix with {n} columns, got shape {a.shape}")
+    return a
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """minimize objective @ x  s.t.  a_ub @ x <= b_ub, a_eq @ x = b_eq, lower <= x <= upper.
@@ -59,9 +69,9 @@ class LinearProgram:
     def __post_init__(self) -> None:
         c = np.atleast_1d(np.asarray(self.objective, dtype=float))
         n = c.size
-        a_ub = np.asarray(self.a_ub, dtype=float).reshape(-1, n)
+        a_ub = _constraint_matrix("a_ub", self.a_ub, n)
         b_ub = np.atleast_1d(np.asarray(self.b_ub, dtype=float))
-        a_eq = np.asarray(self.a_eq, dtype=float).reshape(-1, n)
+        a_eq = _constraint_matrix("a_eq", self.a_eq, n)
         b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=float))
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))

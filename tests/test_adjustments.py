@@ -32,8 +32,8 @@ def test_regime_presets():
 def test_regulatory_capital_dispatch():
     alpha, k = 0.01, 30.0
     s = two_state(k, alpha)
-    sii = RegulatoryRegime.custom(alpha, "var")
-    sst = RegulatoryRegime.custom(alpha, "avar")
+    sii = RegulatoryRegime("Custom", alpha, "var")
+    sst = RegulatoryRegime("Custom", alpha, "avar")
     assert regulatory_capital(s, sii) == pytest.approx(k - 100.0, abs=1e-12)
     assert regulatory_capital(s, sst) == pytest.approx(0.0, abs=1e-12)
     const = WeightedSample([5.0, 5.0], [0.0, 0.0], None)
@@ -42,7 +42,7 @@ def test_regulatory_capital_dispatch():
     x = rng.normal(0, 2, 30)
     hand = var_empirical(x, None, 0.1)
     assert regulatory_capital(WeightedSample(x, np.zeros(30), None),
-                              RegulatoryRegime.custom(0.1, "var")) == hand
+                              RegulatoryRegime("Custom", 0.1, "var")) == hand
 
 
 def test_rec_adj_peaked_density_value():
@@ -69,7 +69,7 @@ def test_rec_adj_degenerate_gamma_is_one():
     y = rng.uniform(0, 2, 100)
     sample = WeightedSample(x, y, None)
     alpha, beta, r = 0.105, 0.101, 1.0 - 1e-12
-    regime = RegulatoryRegime.custom(alpha, "var")
+    regime = RegulatoryRegime("Custom", alpha, "var")
     assert regulatory_capital(sample, regime) > 0
     value = rec_adj(sample, RecoveryFunction.two_piece(beta, r, alpha), regime)
     assert value == pytest.approx(1.0, abs=1e-9)
@@ -87,7 +87,7 @@ def test_rec_adj_monotone_in_beta_and_r():
     x = rng.normal(-2, 4, 500)
     y = rng.uniform(0, 5, 500)
     sample = WeightedSample(x, y, None)
-    regime = RegulatoryRegime.custom(0.05, "var")
+    regime = RegulatoryRegime("Custom", 0.05, "var")
     alpha = 0.05
     values = {}
     for beta in (0.005, 0.01, 0.02):

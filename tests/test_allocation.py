@@ -128,7 +128,7 @@ def test_property_check_directional_consistency():
     while checked < 10:
         ds = random_divisions(rng, 80, 3)
         try:
-            report = allocation_property_check(ds, GAMMA, h_list=(1e-3, 1e-2))
+            report = allocation_property_check(ds, GAMMA)
         except AmbiguousBindingIndex:
             continue
         assert all(report.diversification_ok)

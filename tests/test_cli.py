@@ -324,3 +324,47 @@ def test_calibrate_out_dash_writes_the_level_function_to_stdout(tmp_path, capsys
     assert gamma.n_pieces <= 4
     assert json.loads(captured.err)["pieces"] == gamma.n_pieces
     assert list(tmp_path.iterdir()) == []
+
+
+def _recadj_sides(tmp_path):
+    """``recadj eval`` on a simulated cell and the matching ``recadj sweep`` rows."""
+    scen, eval_out, sweep_out = (tmp_path / n for n in ("s.csv", "e.json", "w.csv"))
+    cell = ["--rho", "0.4", "--tau", "2", "--M", "3000", "--seed", "5"]
+    grid = ["--n-beta", "4", "--n-r", "4"]
+    assert main(["simulate", *cell, "--out", str(scen)]) == 0
+    assert main(["recadj", "eval", "--scenarios", str(scen), *grid,
+                 "--out", str(eval_out)]) == 0
+    assert main(["recadj", "sweep", *cell, *grid, "--out", str(sweep_out)]) == 0
+    header, *rows = (line.split(",") for line in sweep_out.read_text().splitlines())
+    return json.loads(eval_out.read_text()), [dict(zip(header, row)) for row in rows]
+
+
+def test_recadj_eval_equals_the_sweep_row_of_its_cell(tmp_path):
+    payload, rows = _recadj_sides(tmp_path)
+    assert sorted(payload) == sorted(row["regime"] for row in rows) == [
+        "SolvencyII", "SwissSolvencyTest"]
+    for row in rows:
+        for key in ("reg_capital", "agg_rec_adj_integral", "agg_rec_adj_mean"):
+            assert payload[row["regime"]][key] == float(row[key])
+
+
+def test_recadj_eval_builds_the_revar_grid_once(tmp_path, monkeypatch):
+    from recrisk import adjustments
+    scen = tmp_path / "s.csv"
+    assert main(["simulate", "--M", "2000", "--seed", "5", "--out", str(scen)]) == 0
+    calls = []
+    grid = adjustments.revar_two_piece_grid
+    monkeypatch.setattr(adjustments, "revar_two_piece_grid",
+                        lambda *a, **k: calls.append(1) or grid(*a, **k))
+    assert main(["recadj", "eval", "--scenarios", str(scen), "--regime", "sii,sst",
+                 "--n-beta", "4", "--n-r", "4", "--out", str(tmp_path / "e.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_recadj_sweep_names_the_cell_of_a_non_positive_capital(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text('{"initial_net_asset_value": -100.0}')
+    assert main(["recadj", "sweep", "--model", str(model), "--rho", "0.4", "--tau", "2",
+                 "--M", "2000", "--seed", "5", "--n-beta", "4", "--n-r", "4",
+                 "--out", str(tmp_path / "w.csv")]) == 2
+    assert "rho=" in capsys.readouterr().err

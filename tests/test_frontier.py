@@ -142,6 +142,38 @@ def test_uniform_weights_reduce_to_plain_coefficients():
         assert np.array_equal(u_block, np.full(m, 1.0 / m) / alpha_i)
 
 
+def test_build_lp_rows_follow_the_docstring_formulas():
+    # variables (x_1, x_2, v_1, v_2, Upsilon, u_{1,1..3}, u_{2,1..3});
+    # tail row i:  (1/alpha_i) sum_m w_m u_{i,m} - v_i - Upsilon <= 0
+    # hinge (i,m): v_i - sum_k x_k R_{m,k} - u_{i,m} <= -r_i Z_m
+    returns = np.array([[0.1, -0.2], [0.0, 0.3], [-0.4, 0.05]])
+    z = np.array([0.2, 0.0, 0.1])
+    w = np.array([0.5, 0.25, 0.25])
+    gamma = RecoveryFunction.two_piece(0.1, 0.5, 0.25)
+    lp = build_lp(PortfolioProblem(returns, z, gamma, weights=w))
+    (r1, a1), (r2, a2) = gamma.pieces()
+    x1, x2, v1, v2, ups = range(5)
+
+    def u(i, m):
+        return 5 + 3 * i + m
+
+    expected = np.zeros((8, 11))
+    for i, (v_i, alpha_i) in enumerate(((v1, a1), (v2, a2))):
+        expected[i, v_i] = expected[i, ups] = -1.0
+        for m in range(3):
+            expected[i, u(i, m)] = w[m] / alpha_i
+    expected_b = np.zeros(8)
+    for i, (v_i, r_i) in enumerate(((v1, r1), (v2, r2))):
+        for m in range(3):
+            row = 2 + 3 * i + m
+            expected[row, v_i] = 1.0
+            expected[row, [x1, x2]] = -returns[m]
+            expected[row, u(i, m)] = -1.0
+            expected_b[row] = -r_i * z[m]
+    assert lp.a_ub.tobytes() == expected.tobytes()
+    assert lp.b_ub.tobytes() == expected_b.tobytes()
+
+
 def test_target_return_hull_validation():
     rng = np.random.default_rng(76)
     prob = random_problem(rng)

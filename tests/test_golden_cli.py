@@ -44,6 +44,14 @@ CASES = {
                   "--alpha", "1%", "--pieces", "6", "--out", "{d}/calibrated.json"],
     "stress_peaked": ["stress", "peaked", "--a", "10", "--b", "40", "--c", "60", "--k", "12",
                       "--E0", "4", "--beta", "0.25%", "--r", "0.8", "--out", "-"],
+    "stress_extremal_avar": ["stress", "extremal", "--regime", "avar", "--smin", "1.2",
+                             "--smax", "3", "--beta", "0.25%", "--r", "0.8", "--E0", "6",
+                             "--out", "-"],
+    "stress_extremal_var": ["stress", "extremal", "--regime", "var", "--smin", "1.2",
+                            "--smax", "3", "--beta", "0.25%", "--r", "0.8", "--E0", "6",
+                            "--out", "-"],
+    "stress_extremal_var_anchor": ["stress", "extremal", "--regime", "var", "--E0", "6",
+                                   "--anchor-a", "50", "--out", "-"],
 }
 
 

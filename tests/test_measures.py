@@ -356,7 +356,7 @@ def test_min_recovery_pair_example():
 
 def test_min_recovery_pair_cap():
     with pytest.raises(ValueError):
-        min_recovery_pair(0.1, 0.1 - 1e-15, max_asset=1e9)
+        min_recovery_pair(0.1, 0.1 - 1e-15)
     with pytest.raises(ValueError):
         min_recovery_pair(0.1, 0.2)
 

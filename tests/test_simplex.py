@@ -171,3 +171,24 @@ def test_non_finite_input_is_rejected(field, kwargs):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         make_lp(**args)
 
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    # six entries for three variables: reshape(-1, 3) would re-read them as
+    # a (2, 3) matrix with scrambled coefficients and solve it as Optimal
+    ("a_ub", dict(a_ub=np.ones((3, 2)), b_ub=[1.0, 1.0])),
+    ("a_ub", dict(a_ub=[1.0, 1.0, 1.0], b_ub=[1.0])),
+    ("a_eq", dict(a_eq=np.ones((1, 2)), b_eq=[1.0])),
+])
+def test_mis_shaped_matrix_is_rejected(field, kwargs):
+    args = dict(objective=[1.0, 1.0, 1.0])
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=f"^{field} must be a 2-d matrix with 3 columns"):
+        make_lp(**args)
+
+
+def test_size_zero_matrix_means_no_rows():
+    lp = LinearProgram([1.0, 1.0], [], [], np.zeros((0, 0)), np.zeros(0),
+                       [0.0, 0.0], [1.0, 1.0])
+    assert lp.a_ub.shape == (0, 2) and lp.a_eq.shape == (0, 2)
+    assert solve_lp(lp).objective == 0.0
