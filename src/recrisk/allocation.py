@@ -16,7 +16,7 @@ import numpy as np
 from .errors import AmbiguousBindingIndex, DenominatorNotPositive
 from .measures import reavar, reavar_pieces, tail_weights
 from .recovery import RecoveryFunction
-from .samples import (WeightedSample, _frozen, checked_weights, numbered_columns, read_table,
+from .samples import (WeightedSample, checked_weights, freeze, numbered_columns, read_table,
                       write_table, xy_columns)
 
 __all__ = [
@@ -42,13 +42,10 @@ class DivisionalSample:
         liab = np.atleast_2d(np.asarray(self.liabilities, dtype=float))
         if de.shape != liab.shape or de.size == 0:
             raise ValueError("division arrays must share a non-empty (M, N) shape")
-        if not (np.all(np.isfinite(de)) and np.all(np.isfinite(liab))):
-            raise ValueError("division values must be finite")
-        if np.any(liab < 0.0):
+        freeze(self, "division values", de=de, liabilities=liab)
+        if np.any(self.liabilities < 0.0):
             raise ValueError("division liabilities must be nonnegative")
-        w = checked_weights(self.weights, de.shape[0])
-        for name, arr in (("de", de), ("liabilities", liab), ("weights", w)):
-            object.__setattr__(self, name, _frozen(arr))
+        freeze(self, "weights", weights=checked_weights(self.weights, de.shape[0]))
 
     @property
     def n_scenarios(self) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
-from .samples import WeightedSample, write_scenario_csv
+from .samples import WeightedSample, json_number, json_object, write_scenario_csv
 
 __all__ = [
     "BalanceSheetModel", "SimulationResult",
@@ -84,9 +84,8 @@ class BalanceSheetModel:
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"balance-sheet model field {name!r} must be finite, "
-                                 f"got {getattr(self, name)!r}")
+            value = json_number(getattr(self, name), f"balance-sheet model field {name!r}")
+            object.__setattr__(self, name, value)
         if self.asset_log_sd <= 0.0:
             raise ValueError("asset log-sd must be positive")
         for name in ("body_shape", "body_rate", "tail_shape", "tail_rate"):
@@ -107,13 +106,8 @@ class BalanceSheetModel:
 
     @classmethod
     def from_json(cls, payload: str | dict) -> "BalanceSheetModel":
-        obj = json.loads(payload) if isinstance(payload, str) else payload
-        if not isinstance(obj, dict):
-            raise ValueError("balance-sheet model JSON must be an object of model fields")
-        for key, value in obj.items():
-            if key not in cls.__dataclass_fields__ or not isinstance(value, (int, float)):
-                raise ValueError(f"balance-sheet model field {key!r} is unknown or not a number")
-        return cls(**obj)
+        return cls(**json_object(json.loads(payload) if isinstance(payload, str) else payload,
+                                 "balance-sheet model", cls.__dataclass_fields__))
 
     # Splice constants: body quantile at the splice level and the shift that
     # glues the tail gamma continuously on top of it.

@@ -167,25 +167,19 @@ def verify_calibration(inp: CalibrationInput, gamma: CalibratedGamma,
     """
     target = normal_var(inp.mean_de, inp.sd_de, inp.alpha)
 
+    def shifted_var(lam: float, level: float) -> float:
+        """Normal VaR of delta E + (1 - lam) L at ``level``."""
+        return normal_var(inp.mean_de + (1.0 - lam) * inp.mean_l,
+                          math.hypot(inp.sd_de, (1.0 - lam) * inp.sd_l), level)
+
     lams = np.linspace(gamma.lambda_star, 1.0, N_LAMBDA)
-    vals = np.array([
-        normal_var(inp.mean_de + (1.0 - lam) * inp.mean_l,
-                   math.hypot(inp.sd_de, (1.0 - lam) * inp.sd_l),
-                   gamma.raw(lam))
-        for lam in lams
-    ])
+    vals = np.array([shifted_var(lam, gamma.raw(lam)) for lam in lams])
     analytic_err = float(np.max(np.abs(vals - target)))
 
     repaired_ok = True
     if gamma.lambda_star > 0.0:
         rep = np.linspace(0.0, gamma.lambda_star, N_LAMBDA, endpoint=False)
-        rep_vals = np.array([
-            normal_var(inp.mean_de + (1.0 - lam) * inp.mean_l,
-                       math.hypot(inp.sd_de, (1.0 - lam) * inp.sd_l),
-                       gamma.plateau)
-            for lam in rep
-        ])
-        repaired_ok = bool(np.all(rep_vals >= target - 1e-9))
+        repaired_ok = all(shifted_var(lam, gamma.plateau) >= target - 1e-9 for lam in rep)
 
     u = uniform_stream(seed, 0, 2 * m)
     de = inp.mean_de + inp.sd_de * ndtri(u[0::2])

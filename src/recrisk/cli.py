@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -20,7 +19,7 @@ import numpy as np
 from . import adjustments, allocation, balancesheet, calibration, frontier, measures, stress
 from .errors import NumericalError
 from .recovery import RecoveryFunction, load_recovery_function, save_recovery_function
-from .samples import read_scenario_csv, write_text
+from .samples import json_number, json_numbers, json_object, read_scenario_csv, write_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -52,10 +51,6 @@ def parse_grid(token: str) -> np.ndarray:
         start, stop, count = token.split(":")
         return np.linspace(float(start), float(stop), int(count))
     return np.asarray([float(t) for t in token.split(",")])
-
-
-def _is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def _out(path: str):
@@ -223,16 +218,10 @@ def _cmd_allocate(args) -> int:
 
 def _cmd_frontier(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError("frontier config must be a JSON object with budget, gamma and c_grid")
-    gamma = RecoveryFunction.from_json(config["gamma"])
-    budget, c_grid = config.get("budget", 1.0), config.get("c_grid")
-    if not _is_finite_number(budget):
-        raise ValueError(f"frontier config field 'budget' must be a finite number, got {budget!r}")
-    if not isinstance(c_grid, list) or not all(map(_is_finite_number, c_grid)):
-        raise ValueError(f"frontier config field 'c_grid' must be a list of finite numbers, "
-                         f"got {c_grid!r}")
+        config = json_object(json.load(fh), "frontier config", ("budget", "gamma", "c_grid"))
+    gamma = RecoveryFunction.from_json(config.get("gamma"))
+    budget = json_number(config.get("budget", 1.0), "frontier config field 'budget'")
+    c_grid = json_numbers(config.get("c_grid"), "frontier config field 'c_grid'")
     problem = frontier.read_problem_csv(args.problem, gamma, budget=budget)
     result = frontier.efficient_frontier(problem, c_grid)
     frontier.write_frontier_csv(result, problem.n_assets, _out(args.out))
@@ -390,6 +379,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NumericalError, TargetReturnInfeasible
 from .measures import avar_and_lower_quantile
 from .recovery import RecoveryFunction
-from .samples import (WeightedSample, _frozen, checked_weights, numbered_columns, read_table,
+from .samples import (WeightedSample, checked_weights, freeze, numbered_columns, read_table,
                       write_table)
 from .simplex import LinearProgram, LPSolution, solve_lp
 
@@ -59,13 +59,10 @@ class PortfolioProblem:
         z = np.atleast_1d(np.asarray(self.liability_fraction, dtype=float))
         if r.shape[0] != z.size or r.size == 0:
             raise ValueError("returns must be (M, K) with liability fractions of length M")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(z))):
-            raise ValueError("scenario data must be finite")
+        freeze(self, "scenario data", returns=r, liability_fraction=z)
         if not (0.0 < self.budget < math.inf):
             raise ValueError(f"budget must be positive and finite, got {self.budget!r}")
-        w = checked_weights(self.weights, r.shape[0])
-        for name, arr in (("returns", r), ("liability_fraction", z), ("weights", w)):
-            object.__setattr__(self, name, _frozen(arr))
+        freeze(self, "weights", weights=checked_weights(self.weights, r.shape[0]))
 
     @property
     def n_assets(self) -> int:

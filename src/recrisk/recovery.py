@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samples import write_text
+from .samples import json_numbers, json_object, write_text
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,10 @@ class RecoveryFunction:
 
     @classmethod
     def from_json(cls, payload: str | dict) -> "RecoveryFunction":
-        obj = json.loads(payload) if isinstance(payload, str) else payload
-        for key in ("breakpoints", "levels"):
-            value = obj.get(key) if isinstance(obj, dict) else None
-            if not isinstance(value, (list, tuple)) or not all(isinstance(v, (int, float)) for v in value):
-                raise ValueError(f"level function field {key!r} must be a list of numbers, got {value!r}")
-        return cls(tuple(obj["breakpoints"]), tuple(obj["levels"]))
+        fields = ("breakpoints", "levels")
+        obj = json_object(json.loads(payload) if isinstance(payload, str) else payload,
+                          "level function", fields)
+        return cls(*(json_numbers(obj.get(k), f"level function field {k!r}") for k in fields))
 
 
 def load_recovery_function(path) -> RecoveryFunction:

@@ -6,14 +6,16 @@ probability weights summing to one.  Depending on context ``x`` plays the net
 asset value (or its change) and ``y`` the liabilities.
 
 The module also holds what every reader and writer shares: the weight
-validation (:func:`checked_weights`), the CSV table reader
-(:func:`read_table`) with its numbered-column lookup
-(:func:`numbered_columns`), the CSV table writer (:func:`write_table`) and
-the text writer (:func:`write_text`).
+validation (:func:`checked_weights`), the array freezer (:func:`freeze`),
+the JSON field reader (:func:`json_object`, :func:`json_number`,
+:func:`json_numbers`), the CSV table reader (:func:`read_table`) with its
+numbered-column lookup (:func:`numbered_columns`), the CSV table writer
+(:func:`write_table`) and the text writer (:func:`write_text`).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
@@ -49,10 +51,41 @@ def checked_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
+def freeze(obj, what: str, **arrays) -> None:
+    """Set each named array on the frozen dataclass ``obj`` as a private
+    read-only C-ordered float copy; ``what`` names values that must be finite."""
+    for name, a in arrays.items():
+        a = np.array(a, dtype=float, order="C")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{what} must be finite")
+        a.setflags(write=False)
+        object.__setattr__(obj, name, a)
+
+
+def json_object(obj, what: str, known) -> dict:
+    """``obj`` once it is a JSON object whose keys are all in ``known``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object with the fields {', '.join(known)}")
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{what} field {key!r} is unknown; known fields: {', '.join(known)}")
+    return obj
+
+
+def json_number(value, what: str) -> float:
+    """``value`` as a float, once it is a finite JSON number (not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an integer no float holds
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
+def json_numbers(value, what: str) -> tuple[float, ...]:
+    """``value`` as a tuple of floats, once it is a list of finite JSON numbers."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+    return tuple(json_number(v, f"{what} entry {i}") for i, v in enumerate(value))
 
 
 @dataclass(frozen=True)
@@ -68,20 +101,12 @@ class WeightedSample:
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
         if x.ndim != 1 or y.ndim != 1 or x.size != y.size or x.size == 0:
             raise ValueError("x and y must be non-empty 1-d arrays of equal length")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("scenario values must be finite")
-        w = checked_weights(self.weights, x.size)
-        object.__setattr__(self, "x", _frozen(x))
-        object.__setattr__(self, "y", _frozen(y))
-        object.__setattr__(self, "weights", _frozen(w))
+        freeze(self, "scenario values", x=x, y=y)
+        freeze(self, "weights", weights=checked_weights(self.weights, x.size))
 
     @property
     def size(self) -> int:
         return self.x.size
-
-    @classmethod
-    def uniform(cls, x, y) -> "WeightedSample":
-        return cls(np.asarray(x, dtype=float), np.asarray(y, dtype=float), None)
 
     def require_nonnegative_y(self, context: str = "this operation") -> None:
         if np.any(self.y < 0.0):

@@ -261,15 +261,6 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     x[flipped] = upper[flipped] - z[col[flipped]]
     x[free] = z[col[free]] - z[col[free] + 1]
 
-    residual = 0.0
-    if lp.b_ub.size:
-        residual = max(residual, float(np.max(lp.a_ub @ x - lp.b_ub)))
-    if lp.b_eq.size:
-        residual = max(residual, float(np.max(np.abs(lp.a_eq @ x - lp.b_eq))))
-    finite_lo = np.isfinite(lower)
-    finite_up = np.isfinite(upper)
-    if np.any(finite_lo):
-        residual = max(residual, float(np.max(lower[finite_lo] - x[finite_lo], initial=0.0)))
-    if np.any(finite_up):
-        residual = max(residual, float(np.max(x[finite_up] - upper[finite_up], initial=0.0)))
-    return LPSolution("Optimal", x, float(lp.objective @ x), iterations, max(residual, 0.0))
+    residual = max(float(np.max(v, initial=0.0)) for v in (
+        lp.a_ub @ x - lp.b_ub, np.abs(lp.a_eq @ x - lp.b_eq), lower - x, x - upper))
+    return LPSolution("Optimal", x, float(lp.objective @ x), iterations, residual)

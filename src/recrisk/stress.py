@@ -358,7 +358,7 @@ def _verify_witness(model: PeakedLiabilityModel, config: ExtremalSearchConfig,
     q = peaked_q_beta(model, config.beta)
     var_de, avar_de = peaked_regulatory(model)
     reg_de = var_de if config.regime == "var" else avar_de
-    revar_de = max(model.a, config.r * q) - model.asset_value + e0
+    revar_de = peaked_revar(model, config.beta, config.r)
     ratio = e0 / reg_de if reg_de > 0.0 else math.inf
     checks = (
         ConstraintCheck("solvent_under_regulator", reg_de - e0 <= tol, reg_de - e0),

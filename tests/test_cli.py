@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from recrisk import measures
+from recrisk import balancesheet, measures
 from recrisk.cli import main, parse_grid, parse_level
 from recrisk.recovery import RecoveryFunction
 from recrisk.stress import TwoStateCase, two_state_measures, two_state_sample
@@ -236,9 +236,30 @@ def test_frontier_rejects_unusable_problem(tmp_path, capsys, text, message):
      "'budget'"),
     (["frontier", "--problem", "{data}", "--config", "{f}"],
      {"gamma": {"breakpoints": [], "levels": [0.1]}, "c_grid": [{"a": 1}]}, "'c_grid'"),
+    (["simulate", "--M", "10", "--seed", "1", "--model", "{f}"], {"body_shape": True},
+     "'body_shape'"),
+    (["simulate", "--M", "10", "--seed", "1", "--model", "{f}"], {"body_rate": 10 ** 400},
+     "'body_rate' must be finite"),
+    (["measure", "--scenarios", "{data}", "--measure", "revar", "--gamma", "{f}"],
+     {"breakpoints": [], "levels": [True]}, "'levels'"),
+    (["frontier", "--problem", "{data}", "--config", "{f}"],
+     {"gamma": {"breakpoints": [], "levels": [0.1]}, "budget": True, "c_grid": [0.01]},
+     "'budget'"),
+    (["frontier", "--problem", "{data}", "--config", "{f}"],
+     {"gamma": {"breakpoints": [], "levels": [0.1]}, "c_grid": [0.01, True]}, "'c_grid'"),
+    (["measure", "--scenarios", "{data}", "--measure", "revar", "--gamma", "{f}"],
+     {"breakpoints": [], "levels": [0.1], "level": [0.2]}, "'level'"),
+    (["frontier", "--problem", "{data}", "--config", "{f}"],
+     {"gamma": {"breakpoints": [], "levels": [0.1]}, "budgett": 100, "c_grid": [0.01]},
+     "'budgett'"),
+    (["frontier", "--problem", "{data}", "--config", "{f}"], {"c_grid": [0.01]},
+     "level function must be a JSON object"),
 ], ids=["model-unknown-field", "model-string-value", "gamma-levels-not-a-list",
         "config-gamma-levels-not-a-list", "config-not-an-object", "config-budget-a-list",
-        "config-budget-nan", "config-c-grid-entry-an-object"])
+        "config-budget-nan", "config-c-grid-entry-an-object", "model-field-a-boolean",
+        "model-field-an-integer-no-float-holds", "gamma-level-a-boolean",
+        "config-budget-a-boolean", "config-c-grid-entry-a-boolean", "gamma-unknown-field",
+        "config-unknown-field", "config-gamma-missing"])
 def test_malformed_json_input_exits_one(tmp_path, capsys, argv, payload, message):
     f = tmp_path / "input.json"
     f.write_text(json.dumps(payload))
@@ -247,6 +268,27 @@ def test_malformed_json_input_exits_one(tmp_path, capsys, argv, payload, message
     assert main([a.format(f=f, data=data) for a in argv]) == 1
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+
+
+def test_integer_model_field_reads_as_its_float(tmp_path):
+    outputs = []
+    for value in ("3", "3.0"):
+        model, out = tmp_path / f"model-{value}.json", tmp_path / f"out-{value}.csv"
+        model.write_text(f'{{"tail_shape": {value}}}')
+        assert main(["simulate", "--M", "20", "--seed", "1", "--model", str(model),
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_allocation_failure_exits_one_with_a_message(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB")
+    monkeypatch.setattr(balancesheet, "uniform_stream", refuse)
+    assert main(["simulate", "--M", "10", "--seed", "1", "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "error: not enough memory: Unable to allocate 1.46 TiB" in err
     assert "Traceback" not in err
 
 

@@ -1,14 +1,18 @@
 import io
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from recrisk.allocation import DivisionalSample, read_divisional_csv
 from recrisk.frontier import PortfolioProblem, read_problem_csv
-from recrisk.measures import var_empirical
+from recrisk.measures import reavar, var_empirical
 from recrisk.recovery import RecoveryFunction
 from recrisk.samples import (WeightedSample, numbered_columns, read_scenario_csv,
                              write_scenario_csv, write_table)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "recrisk"
 
 
 def test_uniform_weights_default():
@@ -32,6 +36,51 @@ def test_arrays_are_immutable():
     s = WeightedSample([1.0, 2.0], [0.0, 0.0], None)
     with pytest.raises(ValueError):
         s.x[0] = 5.0
+
+
+CALLER_ARRAYS = {
+    "WeightedSample": (WeightedSample, ("x", "y", "weights"), (4,), (4,)),
+    "DivisionalSample": (DivisionalSample, ("de", "liabilities", "weights"), (4, 2), (4, 2)),
+    "PortfolioProblem": (lambda r, z, w: PortfolioProblem(r, z, RecoveryFunction.constant(0.5),
+                                                          weights=w),
+                         ("returns", "liability_fraction", "weights"), (4, 2), (4,)),
+}
+
+
+@pytest.mark.parametrize("build, names, x_shape, y_shape", CALLER_ARRAYS.values(),
+                         ids=CALLER_ARRAYS.keys())
+def test_sample_keeps_a_private_copy_of_its_arrays(build, names, x_shape, y_shape):
+    rng = np.random.default_rng(3)
+    arrays = (rng.uniform(0.1, 1.0, x_shape), rng.uniform(0.1, 1.0, y_shape),
+              np.array([0.1, 0.2, 0.3, 0.4]))
+    views = [a[:] for a in arrays]
+    sample = build(*arrays)
+    kept = [getattr(sample, name).copy() for name in names]
+    for a, view in zip(arrays, views):
+        assert a.flags.writeable
+        view[...] = -50.0
+    for name, before in zip(names, kept):
+        assert np.array_equal(getattr(sample, name), before)
+        assert not getattr(sample, name).flags.writeable
+
+
+def test_write_through_an_earlier_view_leaves_the_measure_unchanged():
+    x = np.array([1.0, -2.0, 0.5, 3.0])
+    view = x[:]
+    s = WeightedSample(x, np.array([0.5, 1.0, 0.2, 0.1]), None)
+    before = reavar(s, RecoveryFunction.constant(0.3))
+    view[1] = -50.0
+    assert reavar(s, RecoveryFunction.constant(0.3)) == before
+
+
+def test_only_samples_freezes_arrays_and_reads_json_numbers():
+    """Which arrays a sample may hold and which JSON values count as numbers
+    are decided in ``samples`` alone (``freeze`` and ``json_number``)."""
+    offenders = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(SRC.glob("*.py")) if path.name != "samples.py"
+                 for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                 if re.search(r"\.setflags\(|isinstance\([^()]*,\s*\(int,\s*float\)\)", line)]
+    assert offenders == []
 
 
 def test_nonnegative_y_guard():
