@@ -15,7 +15,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .balancesheet import BalanceSheetModel, sample_scenarios, loss_probability
+from .balancesheet import (BalanceSheetModel, asset_values, copula_body, loss_probability,
+                           scenario_sample, standard_normals)
 from .errors import DenominatorNotPositive
 from .measures import _ascending, avar_empirical, revar, tail_index, var_empirical
 from .recovery import RecoveryFunction
@@ -172,11 +173,14 @@ def case_study_sweep(model: BalanceSheetModel, rho_grid, tau_grid,
                      workers: int = 1) -> list[SweepRow]:
     """Evaluate the balance-sheet case study over a (rho, tau) grid.
 
-    Every cell re-derives its scenario set from the same seed (common random
-    numbers across cells and across the (beta, r) nodes within a cell).
-    Cells are independent; with ``workers`` > 1 they are evaluated on a
-    thread pool, and the output order follows the input grids regardless of
-    the execution order.
+    All cells share one scenario set up to their margins (common random
+    numbers across cells and across the (beta, r) nodes within a cell): the
+    normals and the assets are drawn once per sweep, the copula uniforms and
+    the liability body once per rho, and only the tail quantiles per cell,
+    so each cell's sample is byte-identical to ``sample_scenarios(cell, m,
+    seed)``.  One rho group is held at a time per worker; with ``workers`` >
+    1 the groups are evaluated on a thread pool, and the output order follows
+    the input grids regardless of the execution order.
     """
     rho_grid = [float(r) for r in np.atleast_1d(rho_grid)]
     tau_grid = [float(t) for t in np.atleast_1d(tau_grid)]
@@ -184,32 +188,39 @@ def case_study_sweep(model: BalanceSheetModel, rho_grid, tau_grid,
     if not rho_grid or not tau_grid or not regimes:
         raise ValueError("sweep grids and regime list must be non-empty")
     e0 = model.initial_net_asset_value
+    groups = [[model.with_params(copula_correlation=rho, tail_shape=tau) for tau in tau_grid]
+              for rho in rho_grid]
+    z1, z2 = standard_normals(m, seed)
+    assets = asset_values(model, z1)
 
-    def evaluate_cell(rho: float, tau: float) -> list[SweepRow]:
-        cell = model.with_params(copula_correlation=rho, tail_shape=tau)
-        sample = sample_scenarios(cell, m, seed).sample
-        lp = loss_probability(sample)
-        try:
-            adjusted = regime_adjustments(sample, config, regimes)
-        except DenominatorNotPositive as exc:
-            raise DenominatorNotPositive(f"{exc} at rho={rho}, tau={tau}") from None
-        return [SweepRow(
-            rho=rho, tau=tau, regime=regime.kind,
-            loss_prob=lp,
-            reg_capital=cap,
-            reg_measure_e1=cap - e0,  # cash invariance: rho_reg(E1) = rho_reg(dE1) - E0
-            solvency_ratio=e0 / cap,
-            agg_rec_adj_integral=integral,
-            agg_rec_adj_mean=mean,
-        ) for regime, (cap, integral, mean) in zip(regimes, adjusted)]
+    def evaluate_group(cells: list[BalanceSheetModel]) -> list[SweepRow]:
+        body = copula_body(cells[0], z1, z2)
+        rows = []
+        for cell in cells:
+            rho, tau = cell.copula_correlation, cell.tail_shape
+            sample = scenario_sample(cell, assets, body.spliced(cell))
+            lp = loss_probability(sample)
+            try:
+                adjusted = regime_adjustments(sample, config, regimes)
+            except DenominatorNotPositive as exc:
+                raise DenominatorNotPositive(f"{exc} at rho={rho}, tau={tau}") from None
+            rows += [SweepRow(
+                rho=rho, tau=tau, regime=regime.kind,
+                loss_prob=lp,
+                reg_capital=cap,
+                reg_measure_e1=cap - e0,  # cash invariance: rho_reg(E1) = rho_reg(dE1) - E0
+                solvency_ratio=e0 / cap,
+                agg_rec_adj_integral=integral,
+                agg_rec_adj_mean=mean,
+            ) for regime, (cap, integral, mean) in zip(regimes, adjusted)]
+        return rows
 
-    cells = [(rho, tau) for rho in rho_grid for tau in tau_grid]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(lambda c: evaluate_cell(*c), cells))
+            per_group = list(pool.map(evaluate_group, groups))
     else:
-        per_cell = [evaluate_cell(*c) for c in cells]
-    return [row for cell_rows in per_cell for row in cell_rows]
+        per_group = [evaluate_group(cells) for cells in groups]
+    return [row for group_rows in per_group for row in group_rows]
 
 
 # The sweep CSV header: the SweepRow fields in order.

@@ -24,6 +24,8 @@ __all__ = [
     "normal_cdf", "normal_quantile", "gamma_cdf", "gamma_quantile",
     "mixture_gamma_cdf", "mixture_gamma_quantile",
     "sample_scenarios", "loss_probability", "uniform_stream",
+    "LiabilityBody", "liability_body", "standard_normals", "asset_values", "copula_body",
+    "scenario_sample",
 ]
 
 
@@ -134,18 +136,45 @@ def mixture_gamma_cdf(x, model: BalanceSheetModel):
 
 def mixture_gamma_quantile(u, model: BalanceSheetModel):
     """Inverse of :func:`mixture_gamma_cdf`, u in (0, 1)."""
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise ValueError("liability quantile requires u in (0, 1)")
-    q0 = model.splice_point()
-    shift = model.tail_shift()
-    out = np.empty_like(u_arr)
-    body = u_arr < model.splice_level
-    if np.any(body):
-        out[body] = gamma_quantile(u_arr[body], model.body_shape, model.body_rate)
-    if np.any(~body):
-        out[~body] = gamma_quantile(u_arr[~body], model.tail_shape, model.tail_rate) - shift
+    out = liability_body(np.atleast_1d(np.asarray(u, dtype=float)), model).spliced(model)
     return float(out[0]) if np.ndim(u) == 0 else out
+
+
+@dataclass(frozen=True)
+class LiabilityBody:
+    """The liability uniforms ``u`` with the body part of their quantiles.
+
+    ``body`` marks the scenarios below the splice level and ``values`` holds
+    their body-gamma quantiles.  These depend on the body parameters and the
+    splice level alone, so one instance serves every tail law spliced on top.
+    """
+
+    u: np.ndarray
+    body: np.ndarray
+    values: np.ndarray
+
+    def spliced(self, model: BalanceSheetModel) -> np.ndarray:
+        """Liabilities with ``model``'s tail quantiles above the splice level.
+
+        ``model`` must have the body parameters and splice level this body
+        was built with.
+        """
+        shift = model.tail_shift()
+        out = np.empty_like(self.u)
+        out[self.body] = self.values
+        tail = ~self.body
+        if np.any(tail):
+            out[tail] = gamma_quantile(self.u[tail], model.tail_shape, model.tail_rate) - shift
+        return out
+
+
+def liability_body(u: np.ndarray, model: BalanceSheetModel) -> LiabilityBody:
+    """Body stage of the spliced liability quantile for the uniforms ``u``."""
+    if np.any(u <= 0.0) or np.any(u >= 1.0):
+        raise ValueError("liability quantile requires u in (0, 1)")
+    body = u < model.splice_level
+    values = gamma_quantile(u[body], model.body_shape, model.body_rate)
+    return LiabilityBody(u, body, values)
 
 
 # --- deterministic uniform stream -------------------------------------------
@@ -192,6 +221,41 @@ class SimulationResult:
                            header_comment=header)
 
 
+# --- staged sampler ----------------------------------------------------------
+# Draws, then margins: the normals depend on (m, seed) alone, the copula
+# uniforms and the liability body on the correlation too, and only the tail
+# quantiles on the tail law.  A sweep over (rho, tau) runs each stage once per
+# distinct input; every stage is elementwise, so any composition gives the
+# same bytes as sample_scenarios.
+
+def standard_normals(m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two independent standard normals of each of ``m`` scenarios, by
+    quantile inversion of the even and odd outputs of the uniform stream."""
+    if m < 1:
+        raise ValueError("scenario count must be at least 1")
+    u = uniform_stream(seed, 0, 2 * m)
+    return ndtri(u[0::2]), ndtri(u[1::2])
+
+
+def asset_values(model: BalanceSheetModel, z1: np.ndarray) -> np.ndarray:
+    """Lognormal assets driven by the first normal."""
+    return np.exp(model.asset_log_mean + model.asset_log_sd * z1)
+
+
+def copula_body(model: BalanceSheetModel, z1: np.ndarray, z2: np.ndarray) -> LiabilityBody:
+    """Liability body of the normals correlated by the 2x2 Cholesky factor."""
+    rho = model.copula_correlation
+    zc = rho * z1 + math.sqrt(max(1.0 - rho * rho, 0.0)) * z2
+    return liability_body(ndtr(zc), model)
+
+
+def scenario_sample(model: BalanceSheetModel, assets: np.ndarray,
+                    liabilities: np.ndarray) -> WeightedSample:
+    """Equally weighted (delta E, L) scenarios of the given margins."""
+    delta_e = assets - liabilities - model.initial_net_asset_value
+    return WeightedSample(delta_e, liabilities, None)
+
+
 def sample_scenarios(model: BalanceSheetModel, m: int, seed: int) -> SimulationResult:
     """Draw ``m`` scenarios of (delta E, L) under the model, deterministically.
 
@@ -199,18 +263,10 @@ def sample_scenarios(model: BalanceSheetModel, m: int, seed: int) -> SimulationR
     inversion; the 2x2 Cholesky factor correlates them; margins follow by
     quantile inversion of the lognormal and spliced liability laws.
     """
-    if m < 1:
-        raise ValueError("scenario count must be at least 1")
-    u = uniform_stream(seed, 0, 2 * m)
-    z1 = ndtri(u[0::2])
-    z2 = ndtri(u[1::2])
-    rho = model.copula_correlation
-    zc = rho * z1 + math.sqrt(max(1.0 - rho * rho, 0.0)) * z2
-    assets = np.exp(model.asset_log_mean + model.asset_log_sd * z1)
-    liabilities = mixture_gamma_quantile(ndtr(zc), model)
-    delta_e = assets - liabilities - model.initial_net_asset_value
-    sample = WeightedSample(delta_e, liabilities, None)
-    return SimulationResult(sample, assets, model, int(seed))
+    z1, z2 = standard_normals(m, seed)
+    assets = asset_values(model, z1)
+    liabilities = copula_body(model, z1, z2).spliced(model)
+    return SimulationResult(scenario_sample(model, assets, liabilities), assets, model, int(seed))
 
 
 def loss_probability(sample: WeightedSample) -> float:

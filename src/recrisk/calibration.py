@@ -23,7 +23,7 @@ from .samples import WeightedSample
 
 __all__ = [
     "CalibrationInput", "CalibratedGamma", "CalibrationReport",
-    "normal_var", "calibrate_gamma", "discretize_gamma", "verify_calibration",
+    "normal_var", "calibrate_gamma", "discretize_gamma", "verify_calibration", "thin_tail",
 ]
 
 NEGATIVITY_TOL = 1e-4  # largest P(L < 0) the normal liability benchmark takes without a warning
@@ -56,6 +56,12 @@ class CalibrationInput:
                 f"{NEGATIVITY_TOL:.3g}; the normal liability benchmark is strained",
                 stacklevel=2,
             )
+
+
+def thin_tail(level: float, m: int) -> bool:
+    """True when a level's tail among ``m`` equally likely scenarios holds
+    fewer than ``MIN_TAIL`` expected scenarios (level * m < MIN_TAIL)."""
+    return level * m < MIN_TAIL
 
 
 def normal_var(mean: float, sd: float, level: float) -> float:
@@ -185,9 +191,8 @@ def verify_calibration(inp: CalibrationInput, gamma: CalibratedGamma,
     de = inp.mean_de + inp.sd_de * ndtri(u[0::2])
     liab = inp.mean_l + inp.sd_l * ndtri(u[1::2])
     sample = WeightedSample(de, liab, None)
-    level_floor = MIN_TAIL / m
     mc_lams = [lam for lam in np.linspace(0.0, 1.0, MC_GRID)
-               if float(gamma(lam)) >= level_floor]
+               if not thin_tail(float(gamma(lam)), m)]
     if not mc_lams:
         mc_lams = [1.0]
     mc_value = max(

@@ -62,6 +62,17 @@ def _emit_json(payload: dict, path: str) -> None:
     write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", _out(path))
 
 
+def _warn_thin_tails(levels: dict, m: int) -> None:
+    """One stderr line naming every level whose tail among ``m`` scenarios
+    is thinner than ``calibration.MIN_TAIL``; the output is still written."""
+    thin = [f"{name} {level:g} ({level * m:g} scenarios)"
+            for name, level in levels.items() if calibration.thin_tail(level, m)]
+    if thin:
+        print(f"warning: fewer than {calibration.MIN_TAIL} expected tail scenarios of "
+              f"M={m}: {', '.join(thin)}; the empirical quantiles are unreliable",
+              file=sys.stderr)
+
+
 def _load_model(path: str | None) -> balancesheet.BalanceSheetModel:
     if path is None:
         return balancesheet.BalanceSheetModel()
@@ -127,10 +138,13 @@ def _cmd_recadj(args) -> int:
         n_beta=args.n_beta, n_r=args.n_r, alpha=parse_level(args.alpha),
     )
     regimes = [adjustments.parse_regime(tok) for tok in args.regime.split(",")]
+    levels = {regime.kind: regime.level for regime in regimes}
+    levels["smallest beta node"] = float(config.beta_nodes().min())
     if args.action == "eval":
         if args.scenarios is None:
             raise ValueError("recadj eval needs --scenarios")
         sample, _ = read_scenario_csv(args.scenarios)
+        _warn_thin_tails(levels, sample.x.size)
         adjusted = adjustments.regime_adjustments(sample, config, regimes)
         payload = {regime.kind: {"reg_capital": cap, "agg_rec_adj_integral": integral,
                                  "agg_rec_adj_mean": mean}
@@ -140,6 +154,7 @@ def _cmd_recadj(args) -> int:
     model = _load_model(args.model)
     if args.rho is None or args.tau is None or args.M is None or args.seed is None:
         raise ValueError("recadj sweep needs --rho, --tau, --M, and --seed")
+    _warn_thin_tails(levels, args.M)
     rows = adjustments.case_study_sweep(model, parse_grid(args.rho), parse_grid(args.tau),
                                         regimes, args.M, args.seed, config,
                                         workers=_thread_count())

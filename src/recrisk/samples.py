@@ -51,12 +51,13 @@ def checked_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-def freeze(obj, what: str, **arrays) -> None:
+def freeze(obj, what: str | None, **arrays) -> None:
     """Set each named array on the frozen dataclass ``obj`` as a private
-    read-only C-ordered float copy; ``what`` names values that must be finite."""
+    read-only C-ordered float copy; ``what`` names values that must be finite,
+    and None lets them hold infinities."""
     for name, a in arrays.items():
         a = np.array(a, dtype=float, order="C")
-        if not np.all(np.isfinite(a)):
+        if what is not None and not np.all(np.isfinite(a)):
             raise ValueError(f"{what} must be finite")
         a.setflags(write=False)
         object.__setattr__(obj, name, a)

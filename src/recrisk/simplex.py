@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverStalled
+from .samples import freeze
 
 __all__ = ["LinearProgram", "LPSolution", "solve_lp"]
 
@@ -56,6 +57,7 @@ class LinearProgram:
 
     Every coefficient and right-hand side must be finite; a lower bound may
     be -inf and an upper bound +inf, never the other side's infinity or NaN.
+    Each field holds a private read-only copy of the caller's array.
     """
 
     objective: np.ndarray
@@ -79,19 +81,16 @@ class LinearProgram:
             raise ValueError("constraint matrix and right-hand side sizes disagree")
         if lower.size != n or upper.size != n:
             raise ValueError("bounds must match the number of variables")
-        fields = (("objective", c), ("a_ub", a_ub), ("b_ub", b_ub),
-                  ("a_eq", a_eq), ("b_eq", b_eq))
-        for name, arr in fields:
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
+        for name, arr in (("objective", c), ("a_ub", a_ub), ("b_ub", b_ub),
+                          ("a_eq", a_eq), ("b_eq", b_eq)):
+            freeze(self, name, **{name: arr})
         if np.any(np.isnan(lower) | (lower == np.inf)):
             raise ValueError("lower must be finite or -inf")
         if np.any(np.isnan(upper) | (upper == -np.inf)):
             raise ValueError("upper must be finite or +inf")
         if np.any(lower > upper):
             raise ValueError("lower bounds exceed upper bounds")
-        for name, arr in fields + (("lower", lower), ("upper", upper)):
-            object.__setattr__(self, name, arr)
+        freeze(self, None, lower=lower, upper=upper)
 
     @property
     def n_variables(self) -> int:

@@ -410,3 +410,35 @@ def test_recadj_sweep_names_the_cell_of_a_non_positive_capital(tmp_path, capsys)
                  "--M", "2000", "--seed", "5", "--n-beta", "4", "--n-r", "4",
                  "--out", str(tmp_path / "w.csv")]) == 2
     assert "rho=" in capsys.readouterr().err
+
+
+def test_recadj_warns_once_on_thin_tails_and_still_writes(tmp_path, capsys):
+    out = tmp_path / "thin.csv"
+    argv = ["recadj", "sweep", "--rho", "0.5", "--tau", "2", "--M", "50", "--seed", "1",
+            "--n-beta", "2", "--n-r", "2", "--out", str(out)]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning") == 1
+    assert "fewer than 50 expected tail scenarios of M=50" in err
+    for part in ("SolvencyII 0.005 (0.25 scenarios)", "SwissSolvencyTest 0.01 (0.5 scenarios)",
+                 "smallest beta node 0.001375"):
+        assert part in err
+    sweep_bytes = out.read_bytes()
+    capsys.readouterr()
+    scen = tmp_path / "s.csv"
+    assert main(["simulate", "--M", "50", "--seed", "1", "--rho", "0.5", "--tau", "2",
+                 "--out", str(scen)]) == 0
+    assert main(["recadj", "eval", "--scenarios", str(scen), "--n-beta", "2", "--n-r", "2",
+                 "--out", str(tmp_path / "e.json")]) == 0
+    assert capsys.readouterr().err.count("warning: fewer than 50") == 1
+    # The warning goes to stderr alone: the sweep CSV keeps its bytes.
+    assert main(argv[:-1] + [str(tmp_path / "again.csv")]) == 0
+    assert (tmp_path / "again.csv").read_bytes() == sweep_bytes
+
+
+def test_recadj_is_silent_when_every_tail_is_thick(tmp_path, capsys):
+    # 0.4% of 20000 scenarios is 80 >= MIN_TAIL, and the regimes hold more.
+    assert main(["recadj", "sweep", "--rho", "0.5", "--tau", "2", "--M", "20000",
+                 "--seed", "1", "--beta-min", "0.4%", "--beta-max", "0.45%",
+                 "--n-beta", "2", "--n-r", "2", "--out", str(tmp_path / "w.csv")]) == 0
+    assert "warning" not in capsys.readouterr().err

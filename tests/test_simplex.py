@@ -192,3 +192,17 @@ def test_size_zero_matrix_means_no_rows():
                        [0.0, 0.0], [1.0, 1.0])
     assert lp.a_ub.shape == (0, 2) and lp.a_eq.shape == (0, 2)
     assert solve_lp(lp).objective == 0.0
+
+
+def test_program_keeps_private_read_only_copies():
+    # max x1 + 2 x2  s.t.  x1 + x2 <= 1, x >= 0: optimum -2 at x = (0, 1).
+    a = np.array([[1.0, 1.0]])
+    upper = np.full(2, np.inf)
+    lp = LinearProgram(np.array([-1.0, -2.0]), a, np.array([1.0]), np.zeros((0, 2)),
+                       np.zeros(0), np.zeros(2), upper)
+    a[0, 1] = 4.0
+    upper[0] = 0.0
+    assert lp.a_ub is not a and lp.a_ub[0, 1] == 1.0 and np.isinf(lp.upper).all()
+    assert solve_lp(lp).objective == -2.0
+    for name in ("objective", "a_ub", "b_ub", "a_eq", "b_eq", "lower", "upper"):
+        assert not getattr(lp, name).flags.writeable
