@@ -108,16 +108,19 @@ class AggRecAdjConfig:
         return self.r_min + (np.arange(self.n_r) + 0.5) * step
 
 
-def revar_two_piece_grid(sample: WeightedSample, config: AggRecAdjConfig) -> np.ndarray:
+def revar_two_piece_grid(sample: WeightedSample, config: AggRecAdjConfig,
+                         var_alpha: float | None = None) -> np.ndarray:
     """ReVaR values on the (beta, r) midpoint grid, sharing one scenario set.
 
     Shape (n_beta, n_r).  The tail kernel runs once per r node, up to the
     largest beta; the beta axis only moves the quantile index, which keeps
-    the tensor evaluation cheap on large samples.
+    the tensor evaluation cheap on large samples.  ``var_alpha`` is the VaR
+    of ``sample.x`` at ``config.alpha`` when the caller already holds it.
     """
     sample.require_nonnegative_y("the recovery adjustment grid")
     x, y, w = sample.x, sample.y, sample.weights
-    var_alpha = var_empirical(x, w, config.alpha)
+    if var_alpha is None:
+        var_alpha = var_empirical(x, w, config.alpha)
     betas = config.beta_nodes()
     rs = config.r_nodes()
     out = np.empty((betas.size, rs.size))
@@ -134,14 +137,17 @@ def regime_adjustments(sample: WeightedSample, config: AggRecAdjConfig,
     Returns one (capital, integral, mean) per regime, in order: the regime's
     capital requirement, the midpoint-rule tensor quadrature of
     RecAdj(beta, r) and its range-normalised average.  Every capital is
-    checked before the ReVaR grid is built once for all regimes.
+    checked before the ReVaR grid is built once for all regimes; a VaR
+    regime at the grid's ``alpha`` hands the grid its capital.
     """
     caps = [regulatory_capital(sample, regime) for regime in regimes]
     for cap in caps:
         if cap <= 0.0:
             raise DenominatorNotPositive(f"regulatory capital must be positive for the "
                                          f"aggregate adjustment, got {cap!r}")
-    grid = revar_two_piece_grid(sample, config)
+    held = next((cap for regime, cap in zip(regimes, caps)
+                 if regime.measure == "var" and regime.level == config.alpha), None)
+    grid = revar_two_piece_grid(sample, config, held)
     area = (config.beta_max - config.beta_min) * (config.r_max - config.r_min)
     means = [float(np.mean(np.maximum(grid / cap, 1.0))) for cap in caps]
     return [(cap, mean * area, mean) for cap, mean in zip(caps, means)]

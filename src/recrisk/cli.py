@@ -73,6 +73,10 @@ def _warn_thin_tails(levels: dict, m: int) -> None:
               file=sys.stderr)
 
 
+def _piece_levels(gamma: RecoveryFunction) -> dict:
+    return {f"gamma piece {i}": level for i, level in enumerate(gamma.levels, 1)}
+
+
 def _load_model(path: str | None) -> balancesheet.BalanceSheetModel:
     if path is None:
         return balancesheet.BalanceSheetModel()
@@ -102,6 +106,7 @@ def _cmd_measure(args) -> int:
         if args.level is None:
             raise ValueError("--level is required for var/avar")
         level = parse_level(args.level)
+        _warn_thin_tails({f"{name} level": level}, sample.size)
         fn = measures.var_empirical if name == "var" else measures.avar_empirical
         out["level"] = level
         out["value"] = fn(sample.x, sample.weights, level)
@@ -109,6 +114,7 @@ def _cmd_measure(args) -> int:
         if args.gamma is None:
             raise ValueError("--gamma is required for recovery measures")
         gamma = load_recovery_function(args.gamma)
+        _warn_thin_tails(_piece_levels(gamma), sample.size)
         if name in ("revar", "reavar") and args.E0 is not None:
             v = measures.solvency_test(sample, gamma, args.E0, name)
             out.update(value=v.measure_value, binding_fraction=v.binding_fraction,
@@ -216,6 +222,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_allocate(args) -> int:
     sample = allocation.read_divisional_csv(args.scenarios)
     gamma = load_recovery_function(args.gamma)
+    _warn_thin_tails(_piece_levels(gamma), sample.n_scenarios)
     result = allocation.euler_allocation(sample, gamma, args.gap_tol)
     payload = {
         "binding_fraction": result.binding_fraction,

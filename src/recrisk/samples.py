@@ -15,7 +15,9 @@ numbered-column lookup (:func:`numbered_columns`), the CSV table writer
 
 from __future__ import annotations
 
+import io
 import sys
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
@@ -23,6 +25,9 @@ from typing import Iterable
 import numpy as np
 
 WEIGHT_SUM_TOL = 1e-12
+
+# Characters a CSV read hands to the parser at a time, completed to a line end.
+READ_BLOCK = 1 << 20
 
 # Column aliases accepted when reading scenario CSVs.  Files produced by the
 # simulator carry (deltaE, L, A); hand-written files use (x, y).
@@ -151,46 +156,75 @@ def read_table(path_or_buffer, what: str) -> tuple[list[str], np.ndarray, np.nda
     and the ``weight`` column wherever it sits (None without one: uniform
     weights then apply).  ``what`` names the table in error messages; a
     ragged or non-numeric row is reported with its line number in the file.
+
+    A file is streamed to the parser in blocks of about ``READ_BLOCK``
+    characters, so a read holds O(rows x columns x 8 + READ_BLOCK) bytes
+    rather than the whole text; a text buffer is read whole once.  Only a
+    read that fails reads the whole text, to name what is wrong with it.
     """
     if hasattr(path_or_buffer, "read"):
         text = path_or_buffer.read()
-    else:
-        with open(path_or_buffer, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    rows = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in rows if ln and not ln.startswith("#")]
-    if not rows:
-        raise ValueError(f"{what} is empty")
-    cols = [c.strip() for c in rows[0].split(",")]
-    if len(rows) == 1:
-        raise ValueError(f"{what} has a header but no rows")
+        try:
+            return _stream_table(io.StringIO(text))
+        except ValueError:
+            raise ValueError(f"{what} {_table_fault(text)}") from None
     try:
-        data = _parse_rows(rows[1:])
+        with open(path_or_buffer, "r", encoding="utf-8") as fh:
+            return _stream_table(fh)
     except ValueError:
-        data = None
-    if data is None or data.shape[1] != len(cols):
-        raise ValueError(f"{what} {_first_bad_row(text, len(cols))}")
+        pass
+    with open(path_or_buffer, "r", encoding="utf-8") as fh:
+        text = fh.read()  # a decoding error raises here with its position in the file
+    raise ValueError(f"{what} {_table_fault(text)}")
+
+
+def _stream_table(fh) -> tuple[list[str], np.ndarray, np.ndarray | None]:
+    """Parse the table in ``fh`` block by block; any fault raises ValueError.
+    A block is ``READ_BLOCK`` characters completed to the end of their last
+    line, so its rows are the ones the whole text would give."""
+    blocks = iter(lambda: fh.read(READ_BLOCK) + fh.readline(), "")
+    rows = chain.from_iterable(map(_rows, blocks))
+    header, first = next(rows, None), next(rows, None)
+    if first is None:
+        raise ValueError("no data rows")
+    cols = [c.strip() for c in header.split(",")]
+    data = _parse_rows(chain([first], rows))
+    if data.shape[1] != len(cols):
+        raise ValueError("ragged rows")
     return cols, data, data[:, cols.index("weight")] if "weight" in cols else None
 
 
-def _parse_rows(rows: list[str]) -> np.ndarray:
+def _rows(text: str) -> list[str]:
+    """The stripped lines of ``text`` that are neither blank nor ``#`` comments."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+
+
+def _parse_rows(rows: Iterable[str]) -> np.ndarray:
     """The (rows, fields) floats of comma-separated lines, parsed straight
     into one array (no Python float per field)."""
     return np.loadtxt(rows, delimiter=",", dtype=float, ndmin=2, comments=None)
 
 
-def _first_bad_row(text: str, width: int) -> str:
-    """Describe the first data row of ``text`` that is ragged or not numeric.
-    Called only once the fast parse has failed, so a good file pays nothing."""
+def _table_fault(text: str) -> str:
+    """What is wrong with the table ``text``, whose streamed parse failed:
+    it has no rows, or its first ragged or non-numeric data row, named by its
+    line number.  Only a failed read pays for this second pass."""
     lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)]
-    data = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")][1:]
-    for n, ln in data:
+    rows = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]
+    if not rows:
+        return "is empty"
+    if len(rows) == 1:
+        return "has a header but no rows"
+    width = len(rows[0][1].split(","))
+    for n, ln in rows[1:]:
         fields = ln.split(",")
         if len(fields) != width:
             return f"line {n} has {len(fields)} fields, the header has {width}"
         for field in fields:
             try:
-                _parse_rows([field])
+                with warnings.catch_warnings():  # an empty field parses as no data
+                    warnings.simplefilter("ignore", UserWarning)
+                    _parse_rows([field])
             except ValueError:
                 return f"line {n}: {field.strip()!r} is not a number"
     return "has malformed rows"

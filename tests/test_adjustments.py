@@ -187,3 +187,22 @@ def test_empty_sweep_csv_is_the_header_alone():
     write_sweep_csv([], buf)
     assert buf.getvalue() == ("rho,tau,regime,loss_prob,reg_capital,reg_measure_E1,"
                               "solvency_ratio,agg_rec_adj_integral,agg_rec_adj_mean\n")
+
+
+@pytest.mark.parametrize("alpha, levels", [(0.005, [0.005]), (0.004, [0.005, 0.004])])
+def test_grid_takes_the_var_capital_it_shares(monkeypatch, alpha, levels):
+    # The Solvency II capital is the grid's VaR floor when alpha is its level;
+    # handed over, it is not computed twice, and the result is the same.
+    from recrisk import adjustments
+    sample = sample_scenarios(BalanceSheetModel(), 4000, 3).sample
+    config = AggRecAdjConfig(alpha=alpha, n_beta=3, n_r=3)
+    regimes = [RegulatoryRegime.solvency_ii(), RegulatoryRegime.swiss_solvency_test()]
+    seen = []
+    monkeypatch.setattr(adjustments, "var_empirical",
+                        lambda x, w, level: seen.append(level) or var_empirical(x, w, level))
+    adjusted = adjustments.regime_adjustments(sample, config, regimes)
+    assert seen == levels
+    grid = revar_two_piece_grid(sample, config)  # computes its own VaR floor
+    area = (config.beta_max - config.beta_min) * (config.r_max - config.r_min)
+    means = [float(np.mean(np.maximum(grid / cap, 1.0))) for cap, _, _ in adjusted]
+    assert adjusted == [(cap, mean * area, mean) for (cap, _, _), mean in zip(adjusted, means)]

@@ -165,9 +165,10 @@ BAD_ROW_HEADER = {"measure": "weight,x,y", "allocate": "weight,dE_1,L_1",
                   "frontier": "weight,R_1,Z"}
 
 
-def run_with_table(tmp_path, capsys, command, text):
-    data = tmp_path / "data.csv"
-    data.write_text(text)
+def run_with_table(tmp_path, capsys, command, text, data=None):
+    if data is None:
+        data = tmp_path / "data.csv"
+        data.write_text(text)
     gamma = tmp_path / "g.json"
     gamma.write_text(RecoveryFunction.constant(0.1).to_json())
     config = tmp_path / "c.json"
@@ -442,3 +443,68 @@ def test_recadj_is_silent_when_every_tail_is_thick(tmp_path, capsys):
                  "--seed", "1", "--beta-min", "0.4%", "--beta-max", "0.45%",
                  "--n-beta", "2", "--n-r", "2", "--out", str(tmp_path / "w.csv")]) == 0
     assert "warning" not in capsys.readouterr().err
+
+
+def test_measure_and_allocate_warn_on_thin_pieces_and_keep_their_output(tmp_path, capsys):
+    # M=100: the first piece's level 0.1 expects 10 tail scenarios, the
+    # second's 0.6 expects 60 >= MIN_TAIL.
+    from recrisk import allocation
+    from recrisk.samples import read_scenario_csv
+    scen = tmp_path / "s.csv"
+    assert main(["simulate", "--M", "100", "--seed", "4", "--out", str(scen)]) == 0
+    gamma = RecoveryFunction.two_piece(0.1, 0.8, 0.6)
+    gamma_file = tmp_path / "g.json"
+    gamma_file.write_text(gamma.to_json())
+    sample, _ = read_scenario_csv(scen)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    runs = [
+        (["measure", "--measure", "revar", "--gamma", str(gamma_file)],
+         "gamma piece 1 0.1 (10 scenarios)", "value", measures.revar_pieces(sample, gamma).value),
+        (["measure", "--measure", "var", "--level", "1%"], "var level 0.01 (1 scenarios)",
+         "value", measures.var_empirical(sample.x, sample.weights, 0.01)),
+        (["allocate", "--gamma", str(gamma_file)], "gamma piece 1 0.1 (10 scenarios)",
+         "reavar", allocation.euler_allocation(allocation.read_divisional_csv(scen),
+                                               gamma).reavar_value),
+    ]
+    for argv, part, key, value in runs:
+        assert main(argv + ["--scenarios", str(scen), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("warning: fewer than 50 expected tail "
+                                                       "scenarios of M=100: ")
+        assert part in err and "piece 2" not in err
+        assert json.loads(out.read_text())[key] == value
+    assert main(["measure", "--measure", "avar", "--level", "60%", "--scenarios", str(scen),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+WHAT = {"measure": "scenario CSV", "allocate": "divisional CSV", "frontier": "problem CSV"}
+
+
+@pytest.mark.parametrize("kind", ["non-utf8-first-byte", "non-utf8-deep", "empty",
+                                  "header-only"])
+@pytest.mark.parametrize("command", sorted(BAD_ROW_ARGV))
+@pytest.mark.filterwarnings("error")
+def test_unreadable_table_exits_one_with_the_message(tmp_path, capsys, monkeypatch, command, kind):
+    # Small blocks, so that the bad byte deep in the file lies past the
+    # first block and past the decoder's first chunk: its position is still
+    # counted from the start of the file.
+    from recrisk import samples
+    monkeypatch.setattr(samples, "READ_BLOCK", 16)
+    head = f"# comment\n{BAD_ROW_HEADER[command]}\n".encode()
+    body = head + b"0.5,1.0,2.0\n" * 2000
+    raw, message = {
+        "non-utf8-first-byte": (b"\xff" + body,
+                                "'utf-8' codec can't decode byte 0xff in position 0: "
+                                "invalid start byte"),
+        "non-utf8-deep": (body + b"0.5,\xff,2.0\n",
+                          f"'utf-8' codec can't decode byte 0xff in position {len(body) + 4}: "
+                          "invalid start byte"),
+        "empty": (b"", f"{WHAT[command]} is empty"),
+        "header-only": (head + b"\n  \n# no rows\n", f"{WHAT[command]} has a header but no rows"),
+    }[kind]
+    data = tmp_path / "data.bin"
+    data.write_bytes(raw)
+    code, err = run_with_table(tmp_path, capsys, command, None, data)
+    assert (code, err) == (1, f"error: {message}\n")
