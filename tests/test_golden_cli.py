@@ -28,6 +28,10 @@ CASES = {
                      "--level", "1%", "--out", "{d}/avar.json"],
     "measure_reavar": ["measure", "--scenarios", "{d}/scen.csv", "--gamma", "{d}/gamma.json",
                        "--measure", "reavar", "--E0", "6.5", "--out", "{d}/reavar.json"],
+    "measure_revar": ["measure", "--scenarios", "{d}/scen.csv", "--gamma", "{d}/gamma4.json",
+                     "--measure", "revar", "--out", "{d}/revar.json"],
+    "measure_lreavar": ["measure", "--scenarios", "{d}/scen.csv", "--gamma", "{d}/gamma4.json",
+                        "--measure", "lreavar", "--n-lambda", "21", "--out", "{d}/lreavar.json"],
     "measure_lrevar": ["measure", "--scenarios", "{d}/scen.csv", "--gamma", "{d}/gamma.json",
                        "--measure", "lrevar", "--E0", "6.5", "--n-lambda", "21",
                        "--out", "{d}/lrevar.json"],
@@ -64,6 +68,8 @@ def _csv(header, rows):
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden")
     (d / "gamma.json").write_text('{"breakpoints": [0.8], "levels": [0.01, 0.05]}')
+    (d / "gamma4.json").write_text('{"breakpoints": [0.4, 0.7, 0.9], '
+                                   '"levels": [0.025, 0.026, 0.027, 0.05]}')
     rng = np.random.default_rng(2024)
     m = 500
     de = rng.normal(0.5, 1.0, size=(m, 3))
