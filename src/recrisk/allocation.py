@@ -81,18 +81,12 @@ def euler_allocation(sample: DivisionalSample, gamma: RecoveryFunction,
     """Per-division capital under Recovery AVaR with a strict binding piece."""
     agg = sample.aggregate()
     ev = reavar_pieces(agg, gamma)
-    terms = np.asarray(ev.terms)
-    if terms.size > 1:
-        top_two = np.sort(terms)[::-1][:2]
-        scale = max(1.0, abs(top_two[0]), abs(top_two[1]))
-        gap = float((top_two[0] - top_two[1]) / scale)
-        if gap < gap_tol:
-            raise AmbiguousBindingIndex(
-                f"binding tail-average term is not a strict maximum "
-                f"(relative gap {gap:.3g} < {gap_tol:.3g})"
-            )
-    else:
-        gap = float("inf")
+    gap = ev.gap
+    if gap < gap_tol:
+        raise AmbiguousBindingIndex(
+            f"binding tail-average term is not a strict maximum "
+            f"(relative gap {gap:.3g} < {gap_tol:.3g})"
+        )
     r_j, alpha_j = ev.binding_fraction, ev.binding_level
 
     tail = tail_weights(agg.x + (1.0 - r_j) * agg.y, sample.weights, alpha_j)

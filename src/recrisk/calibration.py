@@ -14,10 +14,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from .balancesheet import normal_cdf, normal_quantile, uniform_stream
-from .measures import var_empirical
+from .balancesheet import normal_cdf, normal_quantile, standard_normals
+from .measures import _node_max, var_empirical
 from .recovery import RecoveryFunction
 from .samples import WeightedSample
 
@@ -187,18 +186,11 @@ def verify_calibration(inp: CalibrationInput, gamma: CalibratedGamma,
         rep = np.linspace(0.0, gamma.lambda_star, N_LAMBDA, endpoint=False)
         repaired_ok = all(shifted_var(lam, gamma.plateau) >= target - 1e-9 for lam in rep)
 
-    u = uniform_stream(seed, 0, 2 * m)
-    de = inp.mean_de + inp.sd_de * ndtri(u[0::2])
-    liab = inp.mean_l + inp.sd_l * ndtri(u[1::2])
-    sample = WeightedSample(de, liab, None)
-    mc_lams = [lam for lam in np.linspace(0.0, 1.0, MC_GRID)
-               if not thin_tail(float(gamma(lam)), m)]
-    if not mc_lams:
-        mc_lams = [1.0]
-    mc_value = max(
-        var_empirical(sample.x + (1.0 - lam) * sample.y, sample.weights, float(gamma(lam)))
-        for lam in mc_lams
-    )
+    z1, z2 = standard_normals(m, seed)
+    sample = WeightedSample(inp.mean_de + inp.sd_de * z1, inp.mean_l + inp.sd_l * z2, None)
+    nodes = [(lam, float(gamma(lam))) for lam in np.linspace(0.0, 1.0, MC_GRID)]
+    nodes = [(lam, level) for lam, level in nodes if not thin_tail(level, m)] or nodes[-1:]
+    mc_value = _node_max(sample, nodes, var_empirical).value
     var_alpha_scale = abs(target)
     if var_alpha_scale == 0.0:
         raise ValueError("target VaR is zero; the relative check is undefined")

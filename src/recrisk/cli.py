@@ -125,8 +125,12 @@ def _cmd_measure(args) -> int:
                        binding_level=ev.binding_level)
         else:  # lrevar, lreavar
             if assets is not None:
+                if args.E0 is not None:
+                    raise ValueError("--E0 applies only to a scenario file without an A column")
                 asset_values = assets
             elif args.E0 is not None:
+                if not np.isfinite(args.E0):
+                    raise ValueError("available capital must be finite")
                 asset_values = sample.x + args.E0 + sample.y  # x read as delta E
             else:
                 asset_values = sample.x + sample.y            # x read as E1

@@ -135,33 +135,46 @@ def avar_empirical(values, weights, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class PiecewiseEvaluation:
-    """Finite-max evaluation of a recovery measure under piecewise gamma."""
+    """Finite-max evaluation of a recovery measure over (fraction, level) nodes."""
 
     value: float
-    binding_index: int      # 0-based index into gamma's pieces
-    binding_fraction: float  # recovery fraction of the binding piece (1.0 for the last)
+    binding_index: int      # 0-based index of the first largest term
+    binding_fraction: float  # recovery fraction of the binding node (1.0 for gamma's last piece)
     binding_level: float
     terms: tuple[float, ...]
 
+    @property
+    def gap(self) -> float:
+        """Relative distance from the binding term to the runner-up,
+        (first - second) / max(1, |first|, |second|); inf for a single term."""
+        if len(self.terms) < 2:
+            return math.inf
+        second = max(t for i, t in enumerate(self.terms) if i != self.binding_index)
+        return (self.value - second) / max(1.0, abs(self.value), abs(second))
 
-def _piecewise_max(sample: WeightedSample, gamma: RecoveryFunction,
-                   estimator: Callable[..., float]) -> PiecewiseEvaluation:
-    sample.require_nonnegative_y("the finite-max recovery measure")
-    terms = []
-    for r_i, alpha_i in gamma.pieces():
-        position = sample.x + (1.0 - r_i) * sample.y
-        terms.append(estimator(position, sample.weights, alpha_i))
-    j = int(np.argmax(terms))  # ties resolve toward the smallest fraction
-    r_j, a_j = gamma.pieces()[j]
-    return PiecewiseEvaluation(float(terms[j]), j, r_j, a_j, tuple(terms))
+
+def _node_max(sample: WeightedSample, nodes, estimator: Callable[..., float],
+              liability_side: bool = False) -> PiecewiseEvaluation:
+    """The largest recovery term over the (lam, level) ``nodes``, in order:
+    estimator(x + (1 - lam) y, level), or (1/lam) estimator(x - lam y, level)
+    on the liability side.  Ties resolve toward the first node."""
+    x, y, w = sample.x, sample.y, sample.weights
+    if liability_side:
+        terms = [estimator(x - lam * y, w, level) / lam for lam, level in nodes]
+    else:
+        terms = [estimator(x + (1.0 - lam) * y, w, level) for lam, level in nodes]
+    j = int(np.argmax(terms))
+    return PiecewiseEvaluation(float(terms[j]), j, *nodes[j], tuple(terms))
 
 
 def revar_pieces(sample: WeightedSample, gamma: RecoveryFunction) -> PiecewiseEvaluation:
-    return _piecewise_max(sample, gamma, var_empirical)
+    sample.require_nonnegative_y("the finite-max recovery measure")
+    return _node_max(sample, gamma.pieces(), var_empirical)
 
 
 def reavar_pieces(sample: WeightedSample, gamma: RecoveryFunction) -> PiecewiseEvaluation:
-    return _piecewise_max(sample, gamma, avar_empirical)
+    sample.require_nonnegative_y("the finite-max recovery measure")
+    return _node_max(sample, gamma.pieces(), avar_empirical)
 
 
 def revar(sample: WeightedSample, gamma: RecoveryFunction) -> float:
@@ -176,16 +189,12 @@ def reavar(sample: WeightedSample, gamma: RecoveryFunction) -> float:
 
 def _grid_sup(sample: WeightedSample, gamma, n_grid: int,
               estimator: Callable[..., float], liability_side: bool) -> float:
-    """Grid supremum over recovery fractions lam of rho_{gamma(lam)} applied
-    to x + (1 - lam) y (asset side) or of (1/lam) rho_{gamma(lam)}(x - lam y)
-    (liability side, x = assets, lam in (0, 1]).
-
-    The points are a uniform grid augmented at the breakpoints of a piecewise
-    gamma.  The asset side samples both one-sided levels at each breakpoint;
-    the liability side samples the left-limit level at gamma's breakpoints and
-    the last level at lam = 1.  The grid sup bounds the supremum from below;
-    the breakpoint terms make it exact for piecewise-constant level functions.
-    """
+    """Grid supremum of the :func:`_node_max` terms over recovery fractions
+    (liability side: x = assets, lam in (0, 1]).  The nodes are a uniform grid
+    plus, for a piecewise gamma, both one-sided levels at each breakpoint
+    (asset side) or gamma's pieces (liability side: each breakpoint at its
+    left-limit level, then lam = 1).  The grid sup bounds the supremum from
+    below; the breakpoint nodes make it exact for piecewise-constant gamma."""
     if liability_side:
         sample.require_nonnegative_y("the liability-side recovery measure")
     if n_grid < 2:
@@ -200,17 +209,15 @@ def _grid_sup(sample: WeightedSample, gamma, n_grid: int,
             raise ValueError("level function samples are not non-decreasing")
         if not np.all((levels > 0.0) & (levels < 1.0)):
             raise ValueError("level function must map into (0, 1)")
-    points = list(zip(lams.tolist(), levels.tolist()))
-    x, y, w = sample.x, sample.y, sample.weights
-    if liability_side:
-        if is_piecewise:
-            points.extend((r, gamma.left_limit(r)) for r in gamma.breakpoints)
-            points.append((1.0, gamma.levels[-1]))
-        return max(estimator(x - lam * y, w, level) / lam for lam, level in points)
-    if is_piecewise:
-        for r in gamma.breakpoints:
-            points.extend([(r, float(gamma(r))), (r, gamma.left_limit(r))])
-    return max(estimator(x + (1.0 - lam) * y, w, level) for lam, level in points)
+    nodes = list(zip(lams.tolist(), levels.tolist()))
+    if is_piecewise and liability_side:
+        # gamma's pieces repeat the grid's last node, lam = 1; the benchmark's
+        # measures.l_revar.nodes counter pins that node count.
+        nodes.extend(gamma.pieces())
+    elif is_piecewise:
+        for (r, left), right in zip(gamma.pieces(), gamma.levels[1:]):
+            nodes.extend([(r, right), (r, left)])
+    return _node_max(sample, nodes, estimator, liability_side).value
 
 
 def revar_grid(sample: WeightedSample, gamma, n_grid: int = 1001) -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import io
 import sys
-import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
@@ -222,9 +221,9 @@ def _table_fault(text: str) -> str:
             return f"line {n} has {len(fields)} fields, the header has {width}"
         for field in fields:
             try:
-                with warnings.catch_warnings():  # an empty field parses as no data
-                    warnings.simplefilter("ignore", UserWarning)
-                    _parse_rows([field])
+                if not field.strip():  # np.loadtxt reads a blank field as no data
+                    raise ValueError
+                _parse_rows([field])
             except ValueError:
                 return f"line {n}: {field.strip()!r} is not a number"
     return "has malformed rows"

@@ -87,37 +87,24 @@ def two_state_measures(case: TwoStateCase) -> TwoStateMeasures:
     var_alpha = k - 100.0
     avar_alpha = 0.0
 
+    bad = 100.0 * r - k   # minus the bad state's shifted position x + (1 - r) y
+    good = k + r - 101.0  # minus the good state's shifted position
+    # AVaR_beta of the shifted position when its beta-tail holds both states
+    mixed = r - 101.0 + alpha / (2.0 * beta) * (101.0 + 99.0 * r) + (1.0 - alpha / beta) * k
+    inside = beta < alpha / 2.0  # the beta-tail lies inside the bad state
     crossover = (101.0 + 99.0 * r) / 2.0  # where the two shifted outcomes swap order
-    if beta < alpha / 2.0 and k <= crossover:
-        var_beta = 100.0 * r - k
-    else:
-        var_beta = k + r - 101.0
-    if k <= crossover:
-        if beta < alpha / 2.0:
-            avar_beta = 100.0 * r - k
-        else:
-            avar_beta = (r - 101.0 + alpha / (2.0 * beta) * (101.0 + 99.0 * r)
-                         + (1.0 - alpha / beta) * k)
-    else:
-        avar_beta = k + r - 101.0
+    var_beta = bad if inside and k <= crossover else good
+    avar_beta = (bad if inside else mixed) if k <= crossover else good
+    revar_value = bad if inside and k <= 50.0 * (r + 1.0) else var_alpha
 
-    if beta < alpha / 2.0 and k <= 50.0 * (r + 1.0):
-        revar_value = 100.0 * r - k
-    else:
-        revar_value = k - 100.0
-
-    if beta < alpha / 2.0:
-        reavar_value = 100.0 * r - k if k <= 100.0 * r else 0.0
+    if inside:
+        reavar_value = bad if k <= 100.0 * r else 0.0
         revar_min_k = 100.0 * r
         reavar_min_k = 100.0 * r
     else:
         middle_threshold = ((99.0 * alpha + 2.0 * beta) * r
                             - 101.0 * (2.0 * beta - alpha)) / (2.0 * (alpha - beta))
-        if k <= middle_threshold:
-            reavar_value = (r - 101.0 + alpha / (2.0 * beta) * (101.0 + 99.0 * r)
-                            + (1.0 - alpha / beta) * k)
-        else:
-            reavar_value = 0.0
+        reavar_value = mixed if k <= middle_threshold else 0.0
         revar_min_k = 0.0
         reavar_min_k = max(middle_threshold, 0.0)
 
@@ -204,10 +191,24 @@ def peaked_quantile(u, model: PeakedLiabilityModel):
     return float(out[0]) if np.ndim(u) == 0 else out
 
 
+def _xi(alpha: float) -> float:
+    """Constant in the tail-average formula: 1/2 - (1/3) sqrt(alpha / (2 (1 - alpha)))."""
+    return 0.5 - math.sqrt(alpha / (2.0 * (1.0 - alpha))) / 3.0
+
+
+def _low_b_weight(beta: float, alpha: float) -> float:
+    """Weight sqrt(beta / (2 alpha)) of b in q_beta for beta < alpha / 2."""
+    return math.sqrt(beta / (2.0 * alpha))
+
+
+def _high_c_weight(beta: float, alpha: float) -> float:
+    """Weight sqrt((alpha - beta) / (2 alpha)) of c in q_beta for beta >= alpha / 2."""
+    return math.sqrt((alpha - beta) / (2.0 * alpha))
+
+
 def peaked_xi(model: PeakedLiabilityModel) -> float:
-    """Constant in the tail-average formula: 1/2 - (1/3) sqrt(al / (2 (1 - al)))."""
-    al = model.tail_mass
-    return 0.5 - math.sqrt(al / (2.0 * (1.0 - al))) / 3.0
+    """Constant in the tail-average formula at the model's tail mass."""
+    return _xi(model.tail_mass)
 
 
 def peaked_regulatory(model: PeakedLiabilityModel) -> tuple[float, float]:
@@ -230,9 +231,9 @@ def peaked_q_beta(model: PeakedLiabilityModel, beta: float) -> float:
         raise ValueError("beta must lie in (0, tail_mass)")
     b, c = model.b, model.c
     if beta < a_l / 2.0:
-        w = math.sqrt(beta / (2.0 * a_l))
+        w = _low_b_weight(beta, a_l)
         return w * b + (1.0 - w) * c
-    lam = math.sqrt((a_l - beta) / (2.0 * a_l))
+    lam = _high_c_weight(beta, a_l)
     return (1.0 - lam) * b + lam * c
 
 
@@ -292,9 +293,8 @@ def avar_feasible_r_interval(beta: float, alpha: float = 0.005) -> tuple[float, 
     tail-average extremal recipe is feasible (requires beta >= alpha/2)."""
     if not (alpha / 2.0 <= beta < alpha):
         raise ConstructionInfeasible("the tail-average recipe needs alpha/2 <= beta < alpha")
-    lam = math.sqrt((alpha - beta) / (2.0 * alpha))
-    xi = 0.5 - math.sqrt(alpha / (2.0 * (1.0 - alpha))) / 3.0
-    return 1.0 / (4.0 * lam), 0.25 / ((1.0 - lam) * (1.0 - xi))
+    lam = _high_c_weight(beta, alpha)
+    return 1.0 / (4.0 * lam), 0.25 / ((1.0 - lam) * (1.0 - _xi(alpha)))
 
 
 def extremal_construction(config: ExtremalSearchConfig, e0: float,
@@ -328,9 +328,9 @@ def extremal_construction(config: ExtremalSearchConfig, e0: float,
         q = k / r
         b = 0.5 * (a + q)
         if beta < alpha / 2.0:
-            w_b = math.sqrt(beta / (2.0 * alpha))
+            w_b = _low_b_weight(beta, alpha)
         else:
-            w_b = 1.0 - math.sqrt((alpha - beta) / (2.0 * alpha))
+            w_b = 1.0 - _high_c_weight(beta, alpha)
         c = (q - w_b * b) / (1.0 - w_b)
         model = PeakedLiabilityModel(a, b, c, k, e0, alpha)
     else:
@@ -339,14 +339,13 @@ def extremal_construction(config: ExtremalSearchConfig, e0: float,
             raise ConstructionInfeasible(
                 f"r={r!r} outside the feasible interval ({lo!r}, {hi!r}] for beta={beta!r}"
             )
-        lam = math.sqrt((alpha - beta) / (2.0 * alpha))
-        xi = 0.5 - math.sqrt(alpha / (2.0 * (1.0 - alpha))) / 3.0
+        lam = _high_c_weight(beta, alpha)
         b_cap = t_cap / (r * lam - 0.25)
         b = 0.5 * b_cap
         c_lo = max(b, (t_cap - (r * (1.0 - lam) - 0.25) * b) / (r * lam - 0.25))
         c = 0.5 * (c_lo + b_cap)
         k = r * ((1.0 - lam) * b + lam * c)
-        a = (k - 0.25 * (b + c) - t_cap) / xi
+        a = (k - 0.25 * (b + c) - t_cap) / _xi(alpha)
         model = PeakedLiabilityModel(a, b, c, k, e0, alpha)
 
     return _verify_witness(model, config, e0)

@@ -3,9 +3,10 @@
 
 It reads the whole text, splits it into lines, drops blank and ``#`` lines
 and parses the rest in one ``np.loadtxt`` call; a failed parse is described
-by the first ragged or non-numeric row.  Copied without change from the
-reader that streaming replaced; it holds the text and three lists of its
-lines at once, so it is heavy on memory but plainly right.
+by the first ragged or non-numeric row, a blank field counting as not
+numeric.  Copied from the reader that streaming replaced; it holds the text
+and three lists of its lines at once, so it is heavy on memory but plainly
+right.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ def _first_bad_row(text: str, width: int) -> str:
             return f"line {n} has {len(fields)} fields, the header has {width}"
         for field in fields:
             try:
+                if not field.strip():  # np.loadtxt reads a blank field as no data
+                    raise ValueError
                 _parse_rows([field])
             except ValueError:
                 return f"line {n}: {field.strip()!r} is not a number"

@@ -70,7 +70,7 @@ def test_round_trip_simulate_measure_recadj_allocate(tmp_path):
     assert main(["measure", "--scenarios", str(scen), "--gamma", str(gamma_file),
                  "--measure", "revar", "--out", str(out)]) == 0
     assert main(["measure", "--scenarios", str(scen), "--gamma", str(gamma_file),
-                 "--measure", "lrevar", "--E0", "6.5", "--out", str(out)]) == 0
+                 "--measure", "lrevar", "--out", str(out)]) == 0
     assert main(["recadj", "eval", "--scenarios", str(scen), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["SolvencyII"]["agg_rec_adj_mean"] >= 1.0
@@ -183,7 +183,9 @@ def run_with_table(tmp_path, capsys, command, text, data=None):
     ("0.5,1.0", "line 4 has 2 fields, the header has 3"),
     ("0.5,abc,2.0", "line 4: 'abc' is not a number"),
     ("0.5,1_0,2.0", "line 4: '1_0' is not a number"),
-], ids=["ragged", "non-numeric", "digit-separator"])
+    ("0.5,,abc", "line 4: '' is not a number"),
+    ("0.5,1.0,", "line 4: '' is not a number"),
+], ids=["ragged", "non-numeric", "digit-separator", "empty-before-non-numeric", "empty-last"])
 @pytest.mark.parametrize("command", sorted(BAD_ROW_ARGV))
 def test_malformed_row_names_its_line(tmp_path, capsys, command, bad_row, message):
     text = f"# comment\n{BAD_ROW_HEADER[command]}\n0.5,1.0,2.0\n{bad_row}\n"
@@ -338,9 +340,25 @@ def two_piece_scenarios(tmp_path):
 
 def test_measure_E0_inf_exits_one(tmp_path, capsys):
     argv = two_piece_scenarios(tmp_path)
-    for name in ("revar", "reavar"):
+    for name in ("revar", "reavar", "lrevar", "lreavar"):
         assert main(argv + ["--measure", name, "--E0", "inf"]) == 1
-        assert "must be finite" in capsys.readouterr().err
+        assert "available capital must be finite" in capsys.readouterr().err
+
+
+def test_measure_liability_side_refuses_E0_when_the_file_has_assets(tmp_path, capsys):
+    scen = tmp_path / "s.csv"
+    assert main(["simulate", "--M", "300", "--seed", "3", "--out", str(scen)]) == 0
+    gamma_file = tmp_path / "g.json"
+    gamma_file.write_text(RecoveryFunction.two_piece(0.05, 0.8, 0.1).to_json())
+    argv = ["measure", "--scenarios", str(scen), "--gamma", str(gamma_file),
+            "--out", str(tmp_path / "out.json")]
+    for name in ("lrevar", "lreavar"):
+        assert main(argv + ["--measure", name]) == 0
+        for e0 in ("6.5", "nan"):
+            assert main(argv + ["--measure", name, "--E0", e0]) == 1
+            err = capsys.readouterr().err
+            assert "--E0 applies only to a scenario file without an A column" in err
+            assert "Traceback" not in err
 
 
 def test_measure_E0_evaluates_each_piece_once(tmp_path, monkeypatch):

@@ -33,7 +33,7 @@ CASES = {
     "measure_lreavar": ["measure", "--scenarios", "{d}/scen.csv", "--gamma", "{d}/gamma4.json",
                         "--measure", "lreavar", "--n-lambda", "21", "--out", "{d}/lreavar.json"],
     "measure_lrevar": ["measure", "--scenarios", "{d}/scen.csv", "--gamma", "{d}/gamma.json",
-                       "--measure", "lrevar", "--E0", "6.5", "--n-lambda", "21",
+                       "--measure", "lrevar", "--n-lambda", "21",
                        "--out", "{d}/lrevar.json"],
     "recadj_sweep": ["recadj", "sweep", "--rho", "0.3,0.6", "--tau", "2", "--regime", "sii,sst",
                      "--M", "2000", "--seed", "5", "--n-beta", "4", "--n-r", "4",

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from recrisk.measures import (avar_empirical, l_reavar, l_revar,
+from recrisk import measures
+from recrisk.measures import (PiecewiseEvaluation, avar_empirical, l_reavar, l_revar,
                               min_recovery_pair, reavar, reavar_dual_bound,
                               reavar_grid, reavar_pieces,
                               recovery_probability_curve, revar, revar_grid,
@@ -171,6 +172,81 @@ def test_tie_breaks_toward_smaller_fraction():
     ev = revar_pieces(s, g)
     assert ev.binding_index == 0
     assert ev.binding_fraction == 0.5
+
+
+def test_gap_is_the_relative_distance_to_the_runner_up():
+    def gap(terms):
+        j = int(np.argmax(terms))
+        return PiecewiseEvaluation(terms[j], j, 1.0, 0.1, tuple(terms)).gap
+    assert gap([3.0]) == math.inf
+    assert gap([1.0, 4.0, 2.0]) == (4.0 - 2.0) / 4.0
+    assert gap([0.5, 0.25]) == 0.25  # scaled by at least 1
+    assert gap([-6.0, -8.0]) == 2.0 / 8.0
+    assert gap([2.0, 5.0, 5.0]) == 0.0
+
+
+# --- the evaluator's nodes -----------------------------------------------------
+
+TEN_PIECES = RecoveryFunction(tuple(np.arange(1, 10) / 10.0), tuple(np.arange(1, 11) / 100.0))
+
+
+def record_estimator(monkeypatch, name):
+    """Replace ``measures.<name>`` by a recorder of (position, level) per call."""
+    calls = []
+    original = getattr(measures, name)
+
+    def recorder(values, weights, level):
+        calls.append((np.array(values), level))
+        return original(values, weights, level)
+    monkeypatch.setattr(measures, name, recorder)
+    return calls
+
+
+def assert_nodes(calls, nodes, position):
+    assert len(calls) == len(nodes)
+    for (values, level), (lam, want) in zip(calls, nodes):
+        assert level == want
+        assert values.tobytes() == position(lam).tobytes()
+
+
+def node_sample():
+    rng = np.random.default_rng(60)
+    return WeightedSample(rng.normal(8.0, 3.0, 300), rng.gamma(2.0, 2.0, 300), None)
+
+
+@pytest.mark.parametrize("fn, name, estimator", [(l_revar, "var_empirical", var_empirical),
+                                                 (l_reavar, "avar_empirical", avar_empirical)])
+def test_liability_side_nodes_are_grid_then_left_limits_then_one(monkeypatch, fn, name,
+                                                                   estimator):
+    s = node_sample()
+    calls = record_estimator(monkeypatch, name)
+    value = fn(s, TEN_PIECES, 51)
+    grid = [(lam, TEN_PIECES(lam)) for lam in np.linspace(0.0, 1.0, 51)[1:]]
+    left = [(r, TEN_PIECES.left_limit(r)) for r in TEN_PIECES.breakpoints]
+    nodes = grid + left + [(1.0, 0.1)]
+    assert_nodes(calls, nodes, lambda lam: s.x - lam * s.y)
+    assert len(calls) == 60  # 50 grid nodes, 9 left limits, lam = 1 again
+    assert value == max(estimator(v, s.weights, a) / lam for (v, a), (lam, _) in zip(calls, nodes))
+
+
+def test_piece_nodes_follow_gamma_pieces(monkeypatch):
+    s = node_sample()
+    calls = record_estimator(monkeypatch, "var_empirical")
+    ev = revar_pieces(s, TEN_PIECES)
+    assert_nodes(calls, list(TEN_PIECES.pieces()), lambda lam: s.x + (1.0 - lam) * s.y)
+    assert ev.terms == tuple(var_empirical(v, s.weights, a) for v, a in calls)
+
+
+@pytest.mark.parametrize("n_grid", [2, 11, 51])
+def test_asset_side_grid_nodes_add_both_levels_at_each_breakpoint(monkeypatch, n_grid):
+    s = node_sample()
+    calls = record_estimator(monkeypatch, "var_empirical")
+    revar_grid(s, TEN_PIECES, n_grid)
+    grid = [(lam, TEN_PIECES(lam)) for lam in np.linspace(0.0, 1.0, n_grid)]
+    sides = [node for r in TEN_PIECES.breakpoints
+             for node in ((r, TEN_PIECES(r)), (r, TEN_PIECES.left_limit(r)))]
+    assert_nodes(calls, grid + sides, lambda lam: s.x + (1.0 - lam) * s.y)
+    assert len(calls) == n_grid + 2 * len(TEN_PIECES.breakpoints)
 
 
 # --- grid approximations -------------------------------------------------------
