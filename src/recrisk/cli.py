@@ -98,9 +98,21 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# The measures that read each measure option.
+_MEASURE_OPTIONS = {
+    "level": ("--level", ("var", "avar")),
+    "E0": ("--E0", ("revar", "reavar", "lrevar", "lreavar")),
+    "n_lambda": ("--n-lambda", ("lrevar", "lreavar")),
+}
+
+
 def _cmd_measure(args) -> int:
-    sample, assets = read_scenario_csv(args.scenarios)
     name = args.measure
+    unread = [flag for dest, (flag, readers) in _MEASURE_OPTIONS.items()
+              if getattr(args, dest) is not None and name not in readers]
+    if unread:
+        raise ValueError(f"--measure {name} does not read {', '.join(unread)}")
+    sample, assets = read_scenario_csv(args.scenarios)
     out: dict = {"measure": name}
     if name in ("var", "avar"):
         if args.level is None:
@@ -136,7 +148,8 @@ def _cmd_measure(args) -> int:
                 asset_values = sample.x + sample.y            # x read as E1
             lsample = type(sample)(asset_values, sample.y, sample.weights)
             fn = measures.l_revar if name == "lrevar" else measures.l_reavar
-            out["value"] = fn(lsample, gamma, args.n_lambda)
+            out["value"] = (fn(lsample, gamma) if args.n_lambda is None
+                            else fn(lsample, gamma, args.n_lambda))
     _emit_json(out, args.out)
     return EXIT_OK
 
@@ -324,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", default=None, help="recovery function JSON file")
     p.add_argument("--level", default=None, help="level for var/avar ('0.5%%' or '0.005')")
     p.add_argument("--E0", type=float, default=None, help="available capital for the solvency verdict")
-    p.add_argument("--n-lambda", type=int, default=1001, dest="n_lambda")
+    p.add_argument("--n-lambda", type=int, default=None, dest="n_lambda",
+                   help="lambda grid size for lrevar/lreavar (default 1001)")
     p.add_argument("--out", default="-")
     p.set_defaults(fn=_cmd_measure)
 

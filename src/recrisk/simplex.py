@@ -8,20 +8,21 @@ breaking; after a run of degenerate pivots it switches permanently to Bland's
 rule, which guarantees termination.  Scales to desk-size problems (a few
 thousand columns); the tableau is dense.
 
-Storage and update rule: the tableaux are column-major (``order="F"``), so a
-pivot column is contiguous.  A pivot divides the pivot row by its pivot
-element, then subtracts ``row[j] * factors`` from column j only where the
-divided row is nonzero (pivot rows are sparse, pivot columns dense), plus the
-right-hand-side column always.  Each updated element gets the same product
-and the same subtraction as the dense rank-1 update ``tableau -=
-np.outer(factors, row)``; a skipped element would only have had a zero
-subtracted, which can change nothing but the sign of a zero.  The
+Storage and update rule: the tableaux are column-major (``order="F"``).  A
+pivot divides the pivot row by its pivot element, then subtracts ``row[j] *
+factors`` from column j only where the divided row is nonzero, plus the
+right-hand-side column always: one slice per run of ``RUN_COLUMNS`` or more
+adjacent columns, by index for the rest, ``CHUNK_COLUMNS`` at a time.  Each
+updated element gets the same product and subtraction as the dense rank-1
+update ``tableau -= np.outer(factors, row)``; a skipped one would only have
+had a zero subtracted, which can change nothing but the sign of a zero.  The
 right-hand-side column, the only one read back into x, therefore matches the
 dense update bit for bit (it never holds -0.0).  Invariant: the update and
-every reduction (the phase-1 cost row, the bound shift, the phase-2 pricing)
-keep the dense code's per-element arithmetic and summation order; no BLAS
-call (``@``, ``np.dot``) touches the tableau, since blocking or fused
-multiply-add would change last digits.
+every reduction (the cost rows of both phases, the bound shift) keep the
+dense code's per-element arithmetic and summation order (phase 1 scales each
+row by its unit cost, and ``1.0 * v`` is ``v``); no BLAS call (``@``,
+``np.dot``) touches the tableau: blocking or fused multiply-add would change
+last digits.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ __all__ = ["LinearProgram", "LPSolution", "solve_lp"]
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 _DEGENERATE_STREAK = 12
+RUN_COLUMNS = 16    # a run of this many nonzero pivot-row columns is updated as one slice
+CHUNK_COLUMNS = 64  # columns per update step, so its temporary stays in cache
 
 
 def _constraint_matrix(name: str, a, n: int) -> np.ndarray:
@@ -106,12 +109,44 @@ class LPSolution:
     residual: float      # max primal feasibility violation at the solution
 
 
+def _column_runs(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the maximal runs of nonzero entries of a pivot row,
+    its last entry (the right-hand side) excluded."""
+    nonzero = np.zeros(row.size + 1, dtype=bool)
+    np.not_equal(row[:-1], 0.0, out=nonzero[1:-1])
+    edges = np.flatnonzero(nonzero[1:] != nonzero[:-1])
+    return edges[0::2], edges[1::2]
+
+
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
+    r = tableau[row] / tableau[row, col]
+    tableau[row] = r
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    cols = np.append(np.flatnonzero(tableau[row, :-1]), tableau.shape[1] - 1)
-    tableau.T[cols] -= np.multiply.outer(tableau[row, cols], factors)
+    gathered = r != 0.0
+    gathered[-1] = True  # the right-hand side
+    starts, ends = _column_runs(r)
+    long = ends - starts >= RUN_COLUMNS
+    for a, b in zip(starts[long].tolist(), ends[long].tolist()):
+        gathered[a:b] = False
+        for c in range(a, b, CHUNK_COLUMNS):
+            block = slice(c, min(c + CHUNK_COLUMNS, b))
+            tableau.T[block] -= np.multiply.outer(r[block], factors)  # contiguous
+    cols = np.flatnonzero(gathered)
+    for c in range(0, cols.size, CHUNK_COLUMNS):
+        chunk = cols[c:c + CHUNK_COLUMNS]
+        tableau.T[chunk] -= np.multiply.outer(r[chunk], factors)
+
+
+def _reduce_costs(tableau: np.ndarray, basis: list[int], n_cols: int) -> None:
+    """Price out the basis: subtract from the cost row, in row order, each
+    row whose basic column is below ``n_cols`` times the cost at that column."""
+    rows = np.ascontiguousarray(tableau[:-1])
+    cost = tableau[-1].copy()
+    for i, j in enumerate(basis):
+        if j < n_cols:
+            cost -= cost[j] * rows[i]
+    tableau[-1] = cost
 
 
 def _run_simplex(tableau: np.ndarray, basis: list[int], n_cols: int,
@@ -132,13 +167,13 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], n_cols: int,
             col = int(np.argmin(cost))
             if cost[col] >= -OPT_TOL:
                 return "Optimal", it
-        ratios = np.full(m, np.inf)
-        positive = tableau[:m, col] > FEAS_TOL
-        ratios[positive] = tableau[:m, -1][positive] / tableau[:m, col][positive]
-        if not np.any(np.isfinite(ratios)):
+        column = tableau[:m, col]
+        positive = np.flatnonzero(column > FEAS_TOL)
+        ratios = tableau[positive, -1] / column[positive]
+        if not np.isfinite(ratios).any():
             return "Unbounded", it
-        best = np.min(ratios)
-        candidates = np.flatnonzero(ratios <= best + 1e-12)
+        best = ratios.min()
+        candidates = positive[ratios <= best + 1e-12]
         # Ties broken by the smallest basis index: deterministic and
         # Bland-compatible, so the Bland phase cannot cycle.
         row = int(min(candidates, key=lambda i: basis[i]))
@@ -215,8 +250,7 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     tableau[:m, -1] = np.abs(b)
     tableau[np.arange(m), art_base + np.arange(m)] = 1.0
     tableau[-1, art_base:total] = 1.0
-    for i in range(m):  # sequential, not a pairwise sum
-        tableau[-1] -= tableau[i]
+    _reduce_costs(tableau, basis, total)  # unit cost on each basic artificial
     status, it1 = _run_simplex(tableau, basis, total, max_iter)
     if status == "Unbounded":  # cannot happen for a sum of nonnegatives
         raise SolverStalled("phase-1 objective reported unbounded")
@@ -243,9 +277,7 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     t2[:m, :n_cols2] = tableau[keep_rows, :n_cols2]
     t2[:m, -1] = tableau[keep_rows, -1]
     t2[-1, :n_std] = obj_std
-    for i in range(m):
-        if basis[i] < n_cols2:
-            t2[-1] -= t2[-1, basis[i]] * t2[i]
+    _reduce_costs(t2, basis, n_cols2)
     status, it2 = _run_simplex(t2, basis, n_cols2, max_iter, iteration_offset=it1)
     iterations = it1 + it2
     if status == "Unbounded":

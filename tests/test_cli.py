@@ -526,3 +526,45 @@ def test_unreadable_table_exits_one_with_the_message(tmp_path, capsys, monkeypat
     data.write_bytes(raw)
     code, err = run_with_table(tmp_path, capsys, command, None, data)
     assert (code, err) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name, option", [
+    ("var", ["--E0", "nan"]),
+    ("avar", ["--E0", "6.5"]),
+    ("revar", ["--level", "banana"]),
+    ("reavar", ["--level", "1%"]),
+    ("lrevar", ["--level", "1%"]),
+    ("lreavar", ["--level", "1%"]),
+    ("var", ["--n-lambda", "51"]),
+    ("avar", ["--n-lambda", "51"]),
+    ("revar", ["--n-lambda", "0"]),
+    ("reavar", ["--n-lambda", "51"]),
+])
+def test_measure_refuses_an_option_its_measure_never_reads(tmp_path, capsys, name, option):
+    out = tmp_path / "out.json"
+    level = ["--level", "1%"] if name in ("var", "avar") and option[0] != "--level" else []
+    assert main(two_piece_scenarios(tmp_path) + ["--measure", name, *level, *option,
+                                                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"--measure {name} does not read {option[0]}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_measure_names_every_unread_option(tmp_path, capsys):
+    assert main(two_piece_scenarios(tmp_path)
+                + ["--measure", "revar", "--level", "1%", "--n-lambda", "5"]) == 1
+    assert "--measure revar does not read --level, --n-lambda" in capsys.readouterr().err
+
+
+def test_measure_n_lambda_defaults_to_the_1001_node_grid(tmp_path, monkeypatch):
+    grids = []
+    original = measures.l_revar
+    monkeypatch.setattr(measures, "l_revar",
+                        lambda sample, gamma, *n: grids.append(n) or original(sample, gamma, *n))
+    out = tmp_path / "out.json"
+    argv = two_piece_scenarios(tmp_path) + ["--measure", "lrevar", "--out", str(out)]
+    assert main(argv) == 0
+    assert main(argv[:-2] + ["--n-lambda", "1001", "--out", str(tmp_path / "out2.json")]) == 0
+    assert grids == [(), (1001,)]
+    assert out.read_bytes() == (tmp_path / "out2.json").read_bytes()

@@ -1,17 +1,21 @@
 """Differential test: ``recrisk.simplex`` against the dense reference solver.
 
-The column-major sparse pivot update claims the dense update's per-element
+The column-major pivot update (slices over long runs of the pivot row's
+nonzero columns, a gather over the rest) claims the dense update's per-element
 arithmetic, so every observable result must be ``==``: the status, the bytes
 of x (the sign of a zero counts), the repr of the objective and residual,
 and the iteration count, or the same ``SolverStalled`` message.
 """
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import simplex_reference
+from recrisk import simplex
 from recrisk.errors import SolverStalled
 from recrisk.frontier import PortfolioProblem, build_lp
 from recrisk.recovery import RecoveryFunction
@@ -129,3 +133,97 @@ def test_iteration_cap_raises_on_both():
     new = outcome(solve_lp, lp, max_iter=5)
     assert new[0] == "SolverStalled"
     assert new == outcome(simplex_reference.solve_lp, lp, max_iter=5)
+
+
+def frontier_lp_shapes(seed, m=200):
+    """The benchmark's frontier LPs: K=3 assets with fixed volatilities,
+    pieces (0.6; 2%, 10%), and five targets at 10-90% of the mean-return
+    hull."""
+    rng = np.random.default_rng(seed)
+    vol = np.array([0.08, 0.15, 0.22])
+    returns = rng.normal(0.01 + 0.25 * vol, vol, size=(m, vol.size))
+    problem = PortfolioProblem(returns, rng.uniform(0.0, 0.3, size=m),
+                               RecoveryFunction((0.6,), (0.02, 0.10)))
+    means = problem.mean_returns()
+    lo, hi = float(means.min()), float(means.max())
+    return [build_lp(problem.with_target(lo + f * (hi - lo))) for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
+
+
+@pytest.mark.parametrize("seed, hard", [(4, False), (12, True)])
+def test_frontier_workload_lps_match_reference(seed, hard, monkeypatch):
+    runs = []
+    column_runs = simplex._column_runs
+
+    def recording(row):
+        starts, ends = column_runs(row)
+        runs.append(ends - starts)
+        return starts, ends
+
+    monkeypatch.setattr(simplex, "_column_runs", recording)
+    iterations = []
+    for lp in frontier_lp_shapes(seed):
+        new = outcome(solve_lp, lp)
+        assert new == outcome(simplex_reference.solve_lp, lp)
+        assert new[0] == "Optimal"
+        iterations.append(new[3])
+    assert (max(iterations) >= 900) == hard  # seed 12's last target is the hard case
+    lengths = np.concatenate(runs)
+    assert np.any(lengths >= simplex.RUN_COLUMNS)  # slice updates ran
+    assert np.any(lengths < simplex.RUN_COLUMNS)   # gathered columns ran
+
+
+@pytest.mark.parametrize("row, starts, ends", [
+    ([0.0, 0.0, 0.0, 0.0], [], []),
+    ([0.0, 0.0, 0.0, 5.0], [], []),                      # right-hand side alone
+    ([0.0, 2.0, 0.0, 0.0, 1.0], [1], [2]),               # one column
+    ([1.0, -1.0, 3.0, 1.0, 1.0], [0], [4]),              # every column
+    ([1.0, 0.0, 1.0, -0.0, 1.0, 0.0, 7.0], [0, 2, 4], [1, 3, 5]),  # alternating
+    ([0.0, 1.0, 1.0, 1.0, 9.0], [1], [4]),               # a run up to the right-hand side
+    ([1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0], [0, 3], [2, 6]),
+])
+def test_column_runs_split_the_pivot_row_without_its_right_hand_side(row, starts, ends):
+    got_starts, got_ends = simplex._column_runs(np.asarray(row))
+    assert got_starts.tolist() == starts
+    assert got_ends.tolist() == ends
+
+
+def test_pivot_updates_every_element_as_the_dense_update():
+    """Runs longer than a chunk, runs at the threshold and single columns, in
+    one pivot row: the values equal the dense rank-1 update, zero signs
+    aside, and the right-hand-side column is bit for bit the same."""
+    rng = np.random.default_rng(815)
+    n = 3 * simplex.CHUNK_COLUMNS + 40
+    lengths = [simplex.CHUNK_COLUMNS + 5, simplex.RUN_COLUMNS, simplex.RUN_COLUMNS - 1, 1, 2]
+    for _ in range(20):
+        tableau = np.asfortranarray(rng.normal(size=(30, n + 1)))
+        tableau[rng.random(tableau.shape) < 0.2] = 0.0
+        row = int(rng.integers(29))
+        pattern = np.zeros(n, dtype=bool)
+        at = int(rng.integers(3))
+        for length in rng.permutation(lengths):
+            pattern[at:at + length] = True
+            at += int(length) + int(rng.integers(1, 4))
+        tableau[row, :n] = np.where(pattern, rng.normal(size=n), 0.0)
+        col = int(rng.choice(np.flatnonzero(pattern)))
+        dense = np.ascontiguousarray(tableau)
+        simplex_reference._pivot(dense, row, col)
+        simplex._pivot(tableau, row, col)
+        assert np.array_equal(tableau, dense)
+        assert tableau[:, -1].tobytes() == dense[:, -1].tobytes()
+
+
+def test_tableau_arithmetic_calls_no_blas():
+    """Byte identity with the dense oracle rests on elementwise numpy
+    arithmetic: a BLAS product (``@``, ``dot``, ``matmul``, ``einsum``) may
+    block its sums or fuse multiply-adds and change last digits."""
+    tree = ast.parse(Path(simplex.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    offenders = []
+    for name in ("_pivot", "_run_simplex", "_reduce_costs", "_column_runs"):
+        for node in ast.walk(functions[name]):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                offenders.append(f"{name}:{node.lineno}: @")
+            label = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if label in ("dot", "vdot", "matmul", "einsum", "inner", "tensordot"):
+                offenders.append(f"{name}:{node.lineno}: {label}")
+    assert offenders == []
