@@ -5,7 +5,11 @@ capital requirement must be multiplied so that the two-piece recovery-based
 test is also satisfied.  The aggregate adjustment integrates it over a
 rectangle of (beta, r) parameters by midpoint quadrature; midpoint nodes keep
 beta strictly below the base level so the two-piece level function stays
-valid at every node.
+valid at every node.  The ReVaR grid reads all its r nodes from one tail
+pass (``measures.screen``): with liabilities y >= 0 the positions
+x + (1 - r) y are monotone in r, so the nodes run on the scenarios that can
+enter any node's tail plus one atom holding the rest of the weight, and every
+grid value equals (``==``) the full sample's.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from .balancesheet import (BalanceSheetModel, asset_values, copula_body, loss_probability,
                            scenario_sample, standard_normals)
 from .errors import DenominatorNotPositive
-from .measures import _ascending, avar_empirical, revar, tail_index, var_empirical
+from .measures import avar_empirical, revar, screen, var_empirical, var_levels
 from .recovery import RecoveryFunction
 from .samples import WeightedSample, write_table
 
@@ -112,9 +116,12 @@ def revar_two_piece_grid(sample: WeightedSample, config: AggRecAdjConfig,
                          var_alpha: float | None = None) -> np.ndarray:
     """ReVaR values on the (beta, r) midpoint grid, sharing one scenario set.
 
-    Shape (n_beta, n_r).  The tail kernel runs once per r node, up to the
-    largest beta; the beta axis only moves the quantile index, which keeps
-    the tensor evaluation cheap on large samples.  ``var_alpha`` is the VaR
+    Shape (n_beta, n_r).  The r nodes share one tail pass over the full
+    sample (``measures.screen`` with coefficients 1 - r up to the largest
+    beta), which leaves the few scenarios that can enter any node's tail
+    plus one atom; the tail kernel then runs once per r node on that
+    censored sample, with every value equal (``==``) to the full sample's.
+    The beta axis only moves the quantile index.  ``var_alpha`` is the VaR
     of ``sample.x`` at ``config.alpha`` when the caller already holds it.
     """
     sample.require_nonnegative_y("the recovery adjustment grid")
@@ -124,9 +131,9 @@ def revar_two_piece_grid(sample: WeightedSample, config: AggRecAdjConfig,
     betas = config.beta_nodes()
     rs = config.r_nodes()
     out = np.empty((betas.size, rs.size))
+    x, y, w = screen(x, y, w, 1.0 - rs, betas.max())
     for j, r in enumerate(rs):
-        _, zs, _, c = _ascending(x + (1.0 - r) * y, w, betas.max())
-        out[:, j] = np.maximum(-zs[tail_index(c, betas)], var_alpha)
+        out[:, j] = np.maximum(var_levels(x + (1.0 - r) * y, w, betas), var_alpha)
     return out
 
 

@@ -191,22 +191,30 @@ TEN_PIECES = RecoveryFunction(tuple(np.arange(1, 10) / 10.0), tuple(np.arange(1,
 
 
 def record_estimator(monkeypatch, name):
-    """Replace ``measures.<name>`` by a recorder of (position, level) per call."""
+    """Replace ``measures.<name>`` by a recorder of (level, value, sample
+    size) per call."""
     calls = []
     original = getattr(measures, name)
 
     def recorder(values, weights, level):
-        calls.append((np.array(values), level))
-        return original(values, weights, level)
+        value = original(values, weights, level)
+        calls.append((level, value, np.size(values)))
+        return value
     monkeypatch.setattr(measures, name, recorder)
     return calls
 
 
-def assert_nodes(calls, nodes, position):
+def assert_nodes(calls, nodes, estimator, s, position):
+    """One call per node, in node order and at the node's level.  The
+    evaluator runs the nodes on one censored sample (``measures.screen``),
+    smaller than ``s``; each node's value must still be the estimator's on
+    the node's full-sample position, bit for bit."""
     assert len(calls) == len(nodes)
-    for (values, level), (lam, want) in zip(calls, nodes):
+    assert len({size for _, _, size in calls}) == 1 and calls[0][2] < s.size
+    for (level, value, _), (lam, want) in zip(calls, nodes):
         assert level == want
-        assert values.tobytes() == position(lam).tobytes()
+        full = estimator(position(lam), s.weights, level)
+        assert np.float64(value).tobytes() == np.float64(full).tobytes()
 
 
 def node_sample():
@@ -224,17 +232,19 @@ def test_liability_side_nodes_are_grid_then_left_limits_then_one(monkeypatch, fn
     grid = [(lam, TEN_PIECES(lam)) for lam in np.linspace(0.0, 1.0, 51)[1:]]
     left = [(r, TEN_PIECES.left_limit(r)) for r in TEN_PIECES.breakpoints]
     nodes = grid + left + [(1.0, 0.1)]
-    assert_nodes(calls, nodes, lambda lam: s.x - lam * s.y)
+    assert_nodes(calls, nodes, estimator, s, lambda lam: s.x - lam * s.y)
     assert len(calls) == 60  # 50 grid nodes, 9 left limits, lam = 1 again
-    assert value == max(estimator(v, s.weights, a) / lam for (v, a), (lam, _) in zip(calls, nodes))
+    assert value == max(estimator(s.x - lam * s.y, s.weights, a) / lam for lam, a in nodes)
 
 
 def test_piece_nodes_follow_gamma_pieces(monkeypatch):
     s = node_sample()
     calls = record_estimator(monkeypatch, "var_empirical")
     ev = revar_pieces(s, TEN_PIECES)
-    assert_nodes(calls, list(TEN_PIECES.pieces()), lambda lam: s.x + (1.0 - lam) * s.y)
-    assert ev.terms == tuple(var_empirical(v, s.weights, a) for v, a in calls)
+    pieces = list(TEN_PIECES.pieces())
+    assert_nodes(calls, pieces, var_empirical, s, lambda lam: s.x + (1.0 - lam) * s.y)
+    assert ev.terms == tuple(var_empirical(s.x + (1.0 - lam) * s.y, s.weights, a)
+                             for lam, a in pieces)
 
 
 @pytest.mark.parametrize("n_grid", [2, 11, 51])
@@ -245,7 +255,7 @@ def test_asset_side_grid_nodes_add_both_levels_at_each_breakpoint(monkeypatch, n
     grid = [(lam, TEN_PIECES(lam)) for lam in np.linspace(0.0, 1.0, n_grid)]
     sides = [node for r in TEN_PIECES.breakpoints
              for node in ((r, TEN_PIECES(r)), (r, TEN_PIECES.left_limit(r)))]
-    assert_nodes(calls, grid + sides, lambda lam: s.x + (1.0 - lam) * s.y)
+    assert_nodes(calls, grid + sides, var_empirical, s, lambda lam: s.x + (1.0 - lam) * s.y)
     assert len(calls) == n_grid + 2 * len(TEN_PIECES.breakpoints)
 
 

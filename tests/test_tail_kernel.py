@@ -8,7 +8,10 @@ where levels k / m hit them up to summation noise; or arbitrary normalised
 weights.
 """
 
+import math
 import re
+from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -186,7 +189,11 @@ def test_kernel_returns_the_head_of_the_full_stable_sort(case):
     assert np.array_equal(order, full[:n])
     assert np.array_equal(vs, x[full][:n])
     assert np.array_equal(ws, w[full][:n])
-    assert np.array_equal(c, np.cumsum(w[full])[:n])
+    # Cumulative weights are the full sort's: np.cumsum's over the first
+    # block, blocked sums past it (test_cumulative_weights_*).
+    assert np.array_equal(c, measures._cumulative(w[full])[:n])
+    head = min(n, measures.CUM_BLOCK)
+    assert np.array_equal(c[:head], np.cumsum(w[full])[:head])
     assert n == x.size or c[-1] > level + measures.LEVEL_EPS
 
 
@@ -209,6 +216,36 @@ def test_kernel_prefix_clears_the_knife_edge_guard():
     assert measures._ascending(x, w, 0.112)[3][-1] > 0.112 + measures.LEVEL_EPS
     assert measures.var_empirical(x, w, 0.112) == ref.var_empirical(x, w, 0.112) == -16.0
     assert measures.avar_empirical(x, w, 0.112) == ref.avar_empirical(x, w, 0.112)
+
+
+def test_cumulative_weights_honour_the_level_guard_on_a_long_prefix():
+    # 2.5e6 weights of 1e-8 reach 2.5% exactly (up to 5e-19), so the marginal
+    # scenario at 2.5% is the next one; a sequential cumsum drifts by +1.5e-12
+    # over them, past LEVEL_EPS, and picks the scenario before.  The last
+    # scenario carries the rest of the weight and is the marginal one at 5%.
+    # The exact tail averages are summed in rationals.
+    n = 2_500_010
+    x = np.arange(n, dtype=float)
+    w = np.full(n, 1e-8)
+    w[-1] = 1.0 - math.fsum(w[:-1])
+    unit = Fraction(1e-8)
+    for alpha, m in ((0.025, 2_500_000), (0.05, n - 1)):
+        head = -unit * m * (m - 1) / 2
+        tail = max(Fraction(alpha) - m * unit, 0) * -m
+        assert measures.var_empirical(x, w, alpha) == -m
+        assert math.isclose(measures.avar_empirical(x, w, alpha),
+                            float((head + tail) / Fraction(alpha)), rel_tol=1e-13, abs_tol=0.0)
+
+
+def test_cumulative_weights_keep_the_first_block_and_bound_the_rest():
+    rng = np.random.default_rng(17)
+    for ws in (np.full(3 * measures.CUM_BLOCK + 5, 1e-8), rng.dirichlet(np.ones(10_000))):
+        c = measures._cumulative(ws)
+        head = measures.CUM_BLOCK
+        assert c[:head].tobytes() == np.cumsum(ws[:head]).tobytes()
+        exact = np.array([float(f) for f in accumulate(map(Fraction, ws.tolist()))])
+        assert np.max(np.abs(c - exact)) < measures.LEVEL_EPS / 2
+    assert measures._cumulative(np.array([0.25])).tobytes() == np.array([0.25]).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
